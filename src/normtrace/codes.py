@@ -1,9 +1,12 @@
 """Evaluation codes on extended Norm-Trace curves and their duals.
 
 NT_u(s) is the affine variety code spanned by evaluating the footprint
-monomials of weight at most s at all n points.  The dual of NT_u(s) is
-NT_u(s') with s' = n + 2g - 2 - s; check_duality verifies this relation
-explicitly (orthogonality plus dimension count) at runtime.
+monomials of weight at most s at all n points.  The dual of NT_u(s) is the
+twisted code v * NT_u(s') with s' = n + 2g - 2 - s, where v_P = -1/u at the
+points with x != 0 and v_P = -1 at the points with x = 0.  When u = 1 mod p
+the twist is a constant and drops out, so the dual is NT_u(s') itself, as
+for every binary curve.  check_duality verifies this relation explicitly
+(orthogonality plus dimension count) at runtime.
 """
 
 from __future__ import annotations
@@ -103,13 +106,28 @@ class DualityReport:
         return self.orthogonal and self.dims_sum_to_n
 
 
+def _duality_twist(curve: CurveSpec):
+    """v with NT_u(s)^perp = v * NT_u(s'), one entry per point; None when v
+    is constant, that is when u = 1 mod p."""
+    if curve.u % curve.p == 1:
+        return None
+    fld = curve.field
+    off_axis = fld.neg(fld.inv(curve.u % curve.p))
+    return [off_axis if x else fld.neg(1) for x, _ in enumerate_points(curve)]
+
+
 def check_duality(curve: CurveSpec, s: int) -> DualityReport:
-    """Verify NT_u(s)^perp = NT_u(dual_weight(s)) by explicit computation."""
+    """Verify NT_u(s)^perp = v * NT_u(dual_weight(s)) by explicit computation."""
     s_dual = dual_weight(curve, s)
     c1 = build_code(curve, s)
     c2 = build_code(curve, s_dual)
-    orthogonal = matrix_product_is_zero(
-        c1.code.generators, c2.code.generators, curve.field)
+    fld = curve.field
+    dual_rows = c2.code.generators
+    twist = _duality_twist(curve)
+    if twist is not None:
+        dual_rows = [[fld.mul(v, b) for v, b in zip(twist, row)]
+                     for row in dual_rows]
+    orthogonal = matrix_product_is_zero(c1.code.generators, dual_rows, fld)
     return DualityReport(
         curve=curve, s=s, s_dual=s_dual,
         dim_s=c1.k, dim_dual=c2.k,

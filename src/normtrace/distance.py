@@ -10,7 +10,7 @@ it never silently truncates.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, islice
 from math import comb
 
 from .curves import CurveSpec
@@ -199,11 +199,10 @@ def exact_min_distance_parity(code: LinearCode,
             raise BudgetExceeded(
                 f"level w={w} needs {level} units, {budget - spent} left")
         spent += level
-        combos = list(combinations(range(n), w))
         found = None  # lexicographically first dependent index tuple
         for part in range(partitions):
-            for ci in range(part, len(combos), partitions):
-                idxs = combos[ci]
+            for idxs in islice(combinations(range(n), w), part, None,
+                               partitions):
                 if binary:
                     acc = 0
                     for i in idxs:

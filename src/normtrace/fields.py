@@ -5,14 +5,18 @@ polynomial-basis coefficient vector (a_0, ..., a_{e-1}) as sum(a_i * p^i).
 All arithmetic goes through a FiniteField instance; for orders up to 2^16
 multiplication and inversion use precomputed exp/log tables, above that they
 fall back to polynomial arithmetic modulo the field's irreducible modulus.
+Row operations for the matrix kernels use full multiplication and
+subtraction tables for orders up to 256, built on first use.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import product
 
 MAX_FIELD_ORDER = 1 << 20
 _TABLE_LIMIT = 1 << 16
+ROW_TABLE_LIMIT = 256
 
 
 class FieldError(ValueError):
@@ -135,8 +139,9 @@ def _is_irreducible(poly, p):
 class FiniteField:
     """A concrete finite field F_{p^e} with integer-encoded elements.
 
-    Immutable after construction; all operations are pure, so instances are
-    safe to share across threads.  Use :func:`make_field` to get the
+    Immutable after construction apart from the row tables, which are built
+    once on first use; all operations are pure, so instances are safe to
+    share across threads.  Use :func:`make_field` to get the
     canonical instance for given (p, e).
     """
 
@@ -154,6 +159,7 @@ class FiniteField:
         self.modulus = self._find_modulus(p, e)
         self._exp = None
         self._log = None
+        self._tables = None
         if order <= _TABLE_LIMIT:
             self._build_tables()
 
@@ -260,6 +266,39 @@ class FiniteField:
     def elements(self):
         return range(self.order)
 
+    # -- row arithmetic for the matrix kernels --
+
+    def _row_tables(self):
+        """(mul, sub) with mul[a][b] = a*b and sub[a][b] = a-b, or None above
+        ROW_TABLE_LIMIT.  sub is None in characteristic 2, where a-b = a^b.
+        """
+        if self._tables is None and self.order <= ROW_TABLE_LIMIT:
+            q = self.elements()
+            mul = [[self.mul(a, b) for b in q] for a in q]
+            sub = None if self.p == 2 else \
+                [[self.sub(a, b) for b in q] for a in q]
+            self._tables = (mul, sub)
+        return self._tables
+
+    def scale_row(self, c: int, row) -> list:
+        """The row c * row."""
+        tables = self._row_tables()
+        if tables is None:
+            return [self.mul(c, v) for v in row]
+        mc = tables[0][c]
+        return [mc[v] for v in row]
+
+    def sub_scaled_row(self, row, c: int, other) -> list:
+        """The row row - c * other."""
+        tables = self._row_tables()
+        if tables is None:
+            return [self.sub(v, self.mul(c, w)) for v, w in zip(row, other)]
+        mul, sub = tables
+        mc = mul[c]
+        if sub is None:
+            return [v ^ mc[w] for v, w in zip(row, other)]
+        return [sub[v][mc[w]] for v, w in zip(row, other)]
+
     # -- discrete-log tables --
 
     def _build_tables(self):
@@ -341,52 +380,13 @@ def make_field(p: int, e: int) -> FiniteField:
     return FiniteField(p, e)
 
 
-# -- mod-p linear algebra used by embeddings (vectors over the prime field) --
-
-
-def _fp_rref(rows, p):
-    rows = [list(r) for r in rows]
-    ncols = len(rows[0]) if rows else 0
-    pivots = []
-    rank = 0
-    for col in range(ncols):
-        piv = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        inv = pow(rows[rank][col], p - 2, p)
-        rows[rank] = [v * inv % p for v in rows[rank]]
-        for r in range(len(rows)):
-            if r != rank and rows[r][col]:
-                c = rows[r][col]
-                rows[r] = [(v - c * w) % p for v, w in zip(rows[r], rows[rank])]
-        pivots.append(col)
-        rank += 1
-    return rows[:rank], pivots
-
-
-def _fp_solve(matrix_cols, target, p):
-    """Solve M x = target over F_p, M given by columns. None if unsolvable."""
-    nrows = len(target)
-    aug = [[col[r] for col in matrix_cols] + [target[r]] for r in range(nrows)]
-    rref, pivots = _fp_rref(aug, p)
-    ncols = len(matrix_cols)
-    if ncols in pivots:
-        return None
-    x = [0] * ncols
-    for row, col in zip(rref, pivots):
-        x[col] = row[-1]
-    return x
-
-
 class SubfieldEmbedding:
     """The canonical embedding of F_t into F_{t^m}.
 
     The image of the small field's polynomial-basis generator is the root of
     the small modulus in the big field with smallest integer encoding.  The
-    decomposition basis of big over small is the first m powers of the big
-    field's generator that are independent over the embedded small field
-    (for a polynomial-basis generator these are simply 1, g, ..., g^{m-1}).
+    decomposition basis of big over small is 1, g, ..., g^{m-1} for the big
+    field's polynomial-basis generator g, which has degree m over F_t.
     """
 
     def __init__(self, small: FiniteField, big: FiniteField):
@@ -396,8 +396,9 @@ class SubfieldEmbedding:
         self.big = big
         self.m = big.e // small.e
         self.generator_image = self._find_root()
-        self._basis = None
-        self._solve_cols = None
+        g = min(big.p, big.order - 1)  # the polynomial-basis element "x"
+        self._basis = tuple(big.pow(g, j) for j in range(self.m))
+        self._coordinates = None
 
     def _find_root(self):
         mod = self.small.modulus
@@ -424,63 +425,39 @@ class SubfieldEmbedding:
 
     # -- decomposition over the small field --
 
-    def _to_fp_vector(self, a):
-        return self.big.coeffs(a)
-
-    def _ensure_basis(self):
-        if self._basis is not None:
-            return
-        big, small = self.big, self.small
-        g = min(big.p, big.order - 1)  # the polynomial-basis element "x"
-        basis = []
-        span_rows = []
-        rank = 0
-        small_imgs = [self.embed(small.p**i % small.order)
-                      for i in range(small.e)]
-        cand = 1
-        for _ in range(big.order):
-            if len(basis) == self.m:
-                break
-            vec = self._to_fp_vector(cand)
-            new_rows, _ = _fp_rref(span_rows + [vec], big.p)
-            if len(new_rows) > rank:
-                basis.append(cand)
-                for img in small_imgs:
-                    span_rows.append(self._to_fp_vector(big.mul(img, cand)))
-                span_rows, _ = _fp_rref(span_rows, big.p)
-                rank = len(span_rows)
-            cand = big.mul(cand, g)
-        if len(basis) != self.m:
-            raise FieldError("failed to build a decomposition basis")
-        self._basis = basis
-        # Columns of the F_p solve matrix: embed(pi^a) * b_j for each basis
-        # element b_j and small-field basis power pi^a.
-        cols = []
-        for b in basis:
-            for img in small_imgs:
-                cols.append(self._to_fp_vector(big.mul(img, b)))
-        self._solve_cols = cols
-
     @property
     def basis(self):
-        self._ensure_basis()
         return list(self._basis)
+
+    @property
+    def coordinates(self):
+        """Table from each big-field element to its coordinate tuple.
+
+        Built once, on first use, by recomposing every tuple in F_t^m; the
+        tuples are shared by every caller.
+        """
+        if self._coordinates is None:
+            big = self.big
+            images = [self.embed(c) for c in self.small.elements()]
+            terms = [[big.mul(img, b) for img in images] for b in self._basis]
+            table = [None] * big.order
+            for coords in product(self.small.elements(), repeat=self.m):
+                x = 0
+                for term, c in zip(terms, coords):
+                    x = big.add(x, term[c])
+                table[x] = coords
+            # t^m tuples fill t^m slots: an empty slot means a collision.
+            if None in table:
+                raise FieldError(f"{self._basis} is not a basis of "
+                                 f"F_{big.order} over F_{self.small.order}")
+            self._coordinates = table
+        return self._coordinates
 
     def decompose(self, x: int):
         """Coordinates of x over the small field w.r.t. the chosen basis."""
-        self.big.check(x)
-        self._ensure_basis()
-        sol = _fp_solve(self._solve_cols, self._to_fp_vector(x), self.big.p)
-        if sol is None:
-            raise FieldError("decomposition failed")  # basis spans, unreachable
-        coords = []
-        se = self.small.e
-        for j in range(self.m):
-            coords.append(self.small.encode(sol[j * se:(j + 1) * se]))
-        return coords
+        return list(self.coordinates[self.big.check(x)])
 
     def recompose(self, coords) -> int:
-        self._ensure_basis()
         out = 0
         for c, b in zip(coords, self._basis):
             out = self.big.add(out, self.big.mul(self.embed(c), b))
@@ -488,7 +465,7 @@ class SubfieldEmbedding:
 
     def project(self, x: int) -> int:
         """Pull an element of the embedded small field back to the small field."""
-        coords = self.decompose(x)
+        coords = self.coordinates[self.big.check(x)]
         if any(coords[1:]):
             raise FieldError(f"{x} is not in the embedded subfield")
         return coords[0]

@@ -13,32 +13,55 @@ from dataclasses import dataclass
 from .fields import FiniteField, SubfieldEmbedding
 
 
+def _pack(row) -> int:
+    """An F_2 row as an int, column j at bit j."""
+    return int("".join(map(str, reversed(row))) or "0", 2)
+
+
+def _unpack(bits: int, ncols: int) -> list:
+    return [int(b) for b in reversed(format(bits, f"0{ncols}b"))]
+
+
 def rref(rows, fld: FiniteField):
-    """Reduced row-echelon form. Returns (nonzero rows, pivot columns)."""
-    rows = [list(r) for r in rows]
+    """Reduced row-echelon form. Returns (nonzero rows, pivot columns).
+
+    Over F_2 each row is packed into an int and eliminated with XOR; over
+    other fields each row operation goes through the field's row tables.
+    """
+    rows = list(rows)
     if not rows:
         return [], []
     ncols = len(rows[0])
+    packed = fld.order == 2
+    rows = [_pack(r) for r in rows] if packed else [list(r) for r in rows]
     pivots = []
     rank = 0
     for col in range(ncols):
-        piv = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
+        bit = 1 << col
+        piv = next((r for r in range(rank, len(rows))
+                    if (rows[r] & bit if packed else rows[r][col])), None)
         if piv is None:
             continue
         rows[rank], rows[piv] = rows[piv], rows[rank]
-        inv = fld.inv(rows[rank][col])
-        if inv != 1:
-            rows[rank] = [fld.mul(inv, v) for v in rows[rank]]
-        for r in range(len(rows)):
-            if r != rank and rows[r][col]:
-                c = rows[r][col]
-                prow = rows[rank]
-                rows[r] = [fld.sub(v, fld.mul(c, w))
-                           for v, w in zip(rows[r], prow)]
+        prow = rows[rank]
+        if packed:
+            for r in range(len(rows)):
+                if r != rank and rows[r] & bit:
+                    rows[r] ^= prow
+        else:
+            if prow[col] != 1:
+                prow = fld.scale_row(fld.inv(prow[col]), prow)
+                rows[rank] = prow
+            tail = prow[col:]  # the pivot row is zero left of col
+            for r, row in enumerate(rows):
+                if r != rank and row[col]:
+                    row[col:] = fld.sub_scaled_row(row[col:], row[col], tail)
         pivots.append(col)
         rank += 1
         if rank == len(rows):
             break
+    if packed:
+        return [_unpack(r, ncols) for r in rows[:rank]], pivots
     return rows[:rank], pivots
 
 
@@ -95,12 +118,13 @@ def kernel(code: LinearCode) -> LinearCode:
     basis, pivots = rref(code.generators, fld)
     pivot_set = set(pivots)
     free_cols = [c for c in range(n) if c not in pivot_set]
+    negated = [fld.scale_row(fld.neg(1), row) for row in basis]
     out = []
     for fc in free_cols:
         vec = [0] * n
         vec[fc] = 1
-        for row, pc in zip(basis, pivots):
-            vec[pc] = fld.neg(row[fc])
+        for row, pc in zip(negated, pivots):
+            vec[pc] = row[fc]
         out.append(vec)
     return row_space_basis(out, fld, n)
 
@@ -111,23 +135,18 @@ def expand_to_subfield(rows, emb: SubfieldEmbedding):
     An r x n matrix over F_{t^m} becomes an r x (n*m) matrix over F_t, entry
     (i, j) expanding into columns j*m .. j*m + m - 1.
     """
-    out = []
-    for row in rows:
-        new = []
-        for v in row:
-            new.extend(emb.decompose(v))
-        out.append(new)
-    return out
+    table = emb.coordinates
+    return [[c for v in row for c in table[v]] for row in rows]
 
 
 def matrix_product_is_zero(a_rows, b_rows, fld: FiniteField) -> bool:
     """Whether A * B^T = 0, i.e. every row of A is orthogonal to each of B."""
+    b_cols = list(zip(*b_rows))
     for ra in a_rows:
-        for rb in b_rows:
-            acc = 0
-            for x, y in zip(ra, rb):
-                if x and y:
-                    acc = fld.add(acc, fld.mul(x, y))
-            if acc:
-                return False
+        acc = [0] * len(b_rows)  # minus row ra of A * B^T
+        for x, col in zip(ra, b_cols):
+            if x:
+                acc = fld.sub_scaled_row(acc, x, col)
+        if any(acc):
+            return False
     return True

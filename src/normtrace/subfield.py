@@ -19,7 +19,7 @@ from .codes import build_code, dual_weight
 from .curves import CurveSpec
 from .fields import FieldError, SubfieldEmbedding, embedding, make_field, \
     subfield_of_order
-from .linalg import LinearCode, kernel, rank, row_space_basis
+from .linalg import LinearCode, rank, row_space_basis, rref
 from .monomials import footprint, monomials_up_to
 from .reduction import frobenius_power, monomial_poly, normal_form
 
@@ -103,7 +103,7 @@ def _spanning_rows_over_subfield(code: LinearCode, emb: SubfieldEmbedding):
     rows = []
     for b in emb.basis:
         for row in code.generators:
-            rows.append([fld.mul(b, v) for v in row])
+            rows.append(fld.scale_row(b, row))
     return rows
 
 
@@ -113,8 +113,11 @@ def subfield_subcode_oracle(code: LinearCode,
 
     A word of C lies in F_t^n exactly when, in each coordinate's expansion
     over the decomposition basis (which starts at 1), every component past
-    the first vanishes.  We solve for the F_t-combinations of a spanning set
-    with that property and read the words off the first components.
+    the first vanishes.  Each row of an F_t-spanning set of C is expanded
+    into its components past the first, followed by its first components.
+    In the reduced echelon form of these rows, the rows whose pivot lies
+    among the first components are zero before it, and their first
+    components are the reduced echelon basis of C intersect F_t^n.
     """
     if emb.big != code.field:
         raise FieldError("embedding does not target the code's field")
@@ -123,31 +126,18 @@ def subfield_subcode_oracle(code: LinearCode,
     if m == 1:
         # Trivial extension: the code already lives over the small field.
         return row_space_basis(code.generators, small, code.n)
-    span = _spanning_rows_over_subfield(code, emb)
-    if not span:
-        return LinearCode(small, code.n, ())
-    # Expanded coordinates: per big entry, m small-field components.
+    # The embedding's table shares one coordinate tuple per field element.
+    table = emb.coordinates
     expanded = []
-    for row in span:
-        comps = [emb.decompose(v) for v in row]
-        expanded.append(comps)
-    # Constraint matrix: components 1..m-1 of every coordinate must vanish.
-    constraint = [[c for comps in row_comps for c in comps[1:]]
-                  for row_comps in expanded]
-    # Left null space of the constraint matrix: combinations lambda of the
-    # spanning rows with lambda * constraint = 0.
-    transpose = [[constraint[r][c] for r in range(len(constraint))]
-                 for c in range(len(constraint[0]))]
-    combos = kernel(row_space_basis(transpose, small, n=len(span)))
-    words = []
-    for lam in combos.generators:
-        word = [0] * code.n
-        for coeff, row_comps in zip(lam, expanded):
-            if coeff:
-                for i, comps in enumerate(row_comps):
-                    word[i] = small.add(word[i], small.mul(coeff, comps[0]))
-        words.append(word)
-    return row_space_basis(words, small, n=code.n)
+    for row in _spanning_rows_over_subfield(code, emb):
+        comps = [table[v] for v in row]
+        expanded.append([c for cs in comps for c in cs[1:]] +
+                        [cs[0] for cs in comps])
+    width = code.n * (m - 1)
+    reduced, pivots = rref(expanded, small)
+    return LinearCode(small, code.n, tuple(
+        tuple(row[width:]) for row, col in zip(reduced, pivots)
+        if col >= width))
 
 
 def trace_code(code: LinearCode, emb: SubfieldEmbedding) -> LinearCode:

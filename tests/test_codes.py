@@ -64,6 +64,15 @@ def test_check_duality_full_sweep():
             assert check_duality(curve, s).ok
 
 
+def test_check_duality_twisted_in_odd_characteristic():
+    # u = 2 is not 1 mod p here, so the dual NT_u(s') carries the twist
+    # -1/u off the axis x = 0; without it no weight s would pass.
+    for params in [(3, 1, 2, 2), (5, 1, 2, 2)]:
+        curve = make_curve(*params)
+        for s in range(curve.n + 2 * curve.genus - 1):
+            assert check_duality(curve, s).ok
+
+
 def test_restricted_monomial_set_spans_same_code():
     # evaluating every monomial of weight <= s (not just footprint ones)
     # gives the same code

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 
@@ -120,6 +121,21 @@ def test_subcode_distances():
     assert res.exact == 4
     res = exact_min_distance_parity(subfield_subcode_of_ent(NT5, 62, 4))
     assert res.exact == 4
+
+
+def test_parity_search_streams_subsets():
+    # Level w=4 of this [64,39,4] code has C(64,4) = 635376 subsets; as a
+    # list of tuples they take about 60 MB.
+    code = subfield_subcode_of_ent(make_curve(2, 2, 2, 5), 60, 2)
+    assert (code.n, code.k) == (64, 39)
+    tracemalloc.start()
+    try:
+        res = exact_min_distance_parity(code)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert res.exact == 4
+    assert peak < 4 * 2**20
 
 
 def test_bound_sound_against_supercode_distances():

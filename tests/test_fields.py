@@ -133,6 +133,20 @@ def test_decompose_round_trip_and_linearity():
             assert emb.recompose(emb.decompose(x)) == x
 
 
+def test_decomposition_table_inverts_recompose():
+    for (p, small_e, big_e) in [(2, 1, 4), (2, 2, 4), (2, 1, 6), (2, 3, 6),
+                                (5, 1, 2), (3, 1, 3)]:
+        small, big = make_field(p, small_e), make_field(p, big_e)
+        emb = embedding(small, big)
+        assert len(emb.coordinates) == big.order
+        for x in big.elements():
+            coords = emb.coordinates[x]
+            assert emb.recompose(coords) == x
+            assert emb.decompose(x) == list(coords)
+            assert len(coords) == emb.m
+            assert all(0 <= c < small.order for c in coords)
+
+
 def test_subfield_of_order_validation():
     assert subfield_of_order(F16, 4) == F4
     with pytest.raises(FieldError):

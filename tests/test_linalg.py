@@ -4,7 +4,7 @@ import pytest
 
 from normtrace.fields import embedding, make_field
 from normtrace.linalg import (LinearCode, expand_to_subfield, kernel,
-                              matrix_product_is_zero, row_space_basis)
+                              matrix_product_is_zero, row_space_basis, rref)
 
 F2 = make_field(2, 1)
 F4 = make_field(2, 2)
@@ -67,3 +67,75 @@ def test_codeword_and_contains():
     assert c.codeword([1, 1]) == (1, 1, 0)
     assert c.contains((1, 1, 0))
     assert not c.contains((1, 0, 0))
+
+
+def reference_rref(rows, fld):
+    """Per-entry Gauss-Jordan elimination through the field's scalar calls."""
+    rows = [list(r) for r in rows]
+    pivots = []
+    rank = 0
+    for col in range(len(rows[0]) if rows else 0):
+        piv = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        inv = fld.inv(rows[rank][col])
+        rows[rank] = [fld.mul(inv, v) for v in rows[rank]]
+        for r in range(len(rows)):
+            c = rows[r][col]
+            if r != rank and c:
+                rows[r] = [fld.sub(v, fld.mul(c, w))
+                           for v, w in zip(rows[r], rows[rank])]
+        pivots.append(col)
+        rank += 1
+    return rows[:rank], pivots
+
+
+# F_2 takes the packed XOR loop, the others up to order 256 the table loop,
+# and F_729 the per-entry fallback.
+KERNEL_FIELDS = [(2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2), (5, 2),
+                 (3, 3), (3, 6)]
+
+
+def kernel_matrices(rng, fld):
+    def rand(nrows, ncols, density=1.0):
+        return [[rng.randrange(fld.order) if rng.random() < density else 0
+                 for _ in range(ncols)] for _ in range(nrows)]
+    low_rank = rand(2, 7)
+    yield []
+    yield [[]]
+    yield [[0] * 5 for _ in range(3)]
+    yield [[1, 0, 2 % fld.order, 1]] * 3  # duplicate rows
+    yield rand(12, 4)  # tall
+    yield rand(3, 11)  # wide
+    yield rand(6, 6, density=0.3)
+    yield [low_rank[i % 2] for i in range(5)] + rand(1, 7)
+    yield [fld.scale_row(rng.randrange(fld.order), low_rank[0])
+           for _ in range(4)]
+
+
+def test_rref_matches_per_entry_reference():
+    rng = random.Random(59)
+    for p, e in KERNEL_FIELDS:
+        fld = make_field(p, e)
+        for rows in kernel_matrices(rng, fld):
+            expect = reference_rref(rows, fld)
+            assert rref(rows, fld) == expect
+            assert rref([tuple(r) for r in rows], fld) == expect
+
+
+def test_product_check_matches_per_entry_reference():
+    rng = random.Random(61)
+    for p, e in KERNEL_FIELDS:
+        fld = make_field(p, e)
+        for _ in range(5):
+            code = random_code(rng, fld, 7, 3)
+            dual = kernel(code)
+            assert matrix_product_is_zero(code.generators, dual.generators,
+                                          fld)
+            row = code.generators[0]
+            other = [rng.randrange(fld.order) for _ in range(7)]
+            total = 0
+            for a, b in zip(row, other):
+                total = fld.add(total, fld.mul(a, b))
+            assert matrix_product_is_zero([row], [other], fld) == (total == 0)

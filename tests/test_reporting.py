@@ -105,6 +105,13 @@ def test_cli_code_json(capsys):
     assert data["dim_subfield"] == 25 and data["exact_distance"] == 4
 
 
+def test_cli_code_odd_characteristic(capsys):
+    rc = main(["code", "--p", "3", "--l", "1", "--r", "2", "--u", "2",
+               "--s", "8", "--t", "3"])
+    assert rc == 0
+    assert "dim_subfield: 4" in capsys.readouterr().out
+
+
 def test_cli_invalid_parameters(capsys):
     rc = main(["curve", "--p", "2", "--l", "1", "--r", "4", "--u", "7"])
     assert rc == 2
