@@ -37,8 +37,12 @@ def _add_shared(parser, need_s=False, need_t=False):
     parser.add_argument("--json", action="store_true", dest="as_json")
     parser.add_argument("--exact", action="store_true")
     parser.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
-    parser.add_argument("--delta-variant", choices=["paper", "footprint"],
-                        default="footprint")
+    parser.add_argument(
+        "--delta-variant", choices=["paper", "footprint"],
+        default="footprint",
+        help="monomial box of the order bound; only 'footprint' is a lower "
+             "bound, 'paper' is not sound and is reported only to explain "
+             "published values in paper_claim_delta")
 
 
 def _emit(args, data: dict):
@@ -79,7 +83,6 @@ def build_parser():
     p = sub.add_parser("mindist", help="exact distance of the subfield subcode")
     _add_shared(p, need_s=True, need_t=True)
     p.add_argument("--method", choices=["parity", "enum"], default="parity")
-    p.add_argument("--partitions", type=int, default=1)
 
     p = sub.add_parser("sweep", help="reports over a range of s, cached")
     _add_shared(p, need_t=True)
@@ -151,7 +154,7 @@ def _run(args) -> int:
         code = subfield_subcode_of_ent(c, args.s, args.t)
         fn = exact_min_distance_parity if args.method == "parity" \
             else exact_min_distance_enum
-        res = fn(code, budget=args.budget, partitions=args.partitions)
+        res = fn(code, budget=args.budget)
         _emit(args, {"n": code.n, "k": code.k, "d": res.exact,
                      "method": res.method,
                      "witness": "".join(str(v) for v in res.witness)

@@ -20,10 +20,6 @@ from .monomials import monomials_up_to
 from .reduction import SparsePolynomial
 
 
-def evaluation_row(fld, poly, points):
-    return [poly.evaluate(p) for p in points]
-
-
 def _monomial_rows(curve: CurveSpec, monos):
     fld = curve.field
     points = enumerate_points(curve)
