@@ -17,7 +17,7 @@ from .curves import CurveError, enumerate_points, make_curve
 from .distance import DEFAULT_BUDGET, BudgetExceeded, \
     exact_min_distance_enum, exact_min_distance_parity, geil_bound
 from .fields import FieldError
-from .reporting import export_matrix, run_report, sweep
+from .reporting import CacheError, export_matrix, run_report, sweep
 from .subfield import is_frobenius_invariant, subfield_subcode_dim, \
     subfield_subcode_of_ent, trace_span_dim
 
@@ -27,22 +27,24 @@ EXIT_BUDGET = 3
 EXIT_IO = 4
 
 
-def _add_shared(parser, need_s=False, need_t=False):
-    parser.add_argument("--p", type=int, required=True)
-    parser.add_argument("--l", type=int, required=True)
-    parser.add_argument("--r", type=int, required=True)
-    parser.add_argument("--u", type=int, required=True)
-    parser.add_argument("--s", type=int, required=need_s, default=None)
-    parser.add_argument("--t", type=int, required=need_t, default=None)
-    parser.add_argument("--json", action="store_true", dest="as_json")
-    parser.add_argument("--exact", action="store_true")
-    parser.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
-    parser.add_argument(
-        "--delta-variant", choices=["paper", "footprint"],
-        default="footprint",
-        help="monomial box of the order bound; only 'footprint' is a lower "
-             "bound, 'paper' is not sound and is reported only to explain "
-             "published values in paper_claim_delta")
+# Options beyond the curve parameters; each subcommand takes those it reads.
+_OPTIONS = {
+    "s": ("--s", {"type": int, "required": True}),
+    "t": ("--t", {"type": int, "required": True}),
+    "json": ("--json", {"action": "store_true", "dest": "as_json"}),
+    "exact": ("--exact", {"action": "store_true"}),
+    "budget": ("--budget", {"type": int, "default": DEFAULT_BUDGET}),
+}
+
+
+def _add_command(sub, name, summary, *options):
+    parser = sub.add_parser(name, help=summary, allow_abbrev=False)
+    for flag in ("--p", "--l", "--r", "--u"):
+        parser.add_argument(flag, type=int, required=True)
+    for option in options:
+        flag, kwargs = _OPTIONS[option]
+        parser.add_argument(flag, **kwargs)
+    return parser
 
 
 def _emit(args, data: dict):
@@ -59,40 +61,30 @@ def build_parser():
         description="Extended Norm-Trace codes, subfield subcodes and bounds")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("curve", help="curve parameters and derived constants")
-    _add_shared(p)
-
-    p = sub.add_parser("points", help="affine rational points, one per line")
-    _add_shared(p)
-
-    p = sub.add_parser("code", help="full report for one (curve, s, t)")
-    _add_shared(p, need_s=True, need_t=True)
-
-    p = sub.add_parser("dual", help="dual weight and explicit duality check")
-    _add_shared(p, need_s=True)
-
-    p = sub.add_parser("trace-dim", help="dimension of the trace code")
-    _add_shared(p, need_s=True, need_t=True)
-
-    p = sub.add_parser("subfield", help="subfield subcode dimensions")
-    _add_shared(p, need_s=True, need_t=True)
-
-    p = sub.add_parser("bound", help="order bound on the minimum distance")
-    _add_shared(p, need_s=True)
-
-    p = sub.add_parser("mindist", help="exact distance of the subfield subcode")
-    _add_shared(p, need_s=True, need_t=True)
+    _add_command(sub, "curve", "curve parameters and derived constants",
+                 "json")
+    _add_command(sub, "points", "affine rational points, one per line")
+    _add_command(sub, "code", "full report for one (curve, s, t)",
+                 "s", "t", "json", "exact", "budget")
+    _add_command(sub, "dual", "dual weight and duality check",
+                 "s", "json")
+    _add_command(sub, "trace-dim", "dimension of the trace code",
+                 "s", "t", "json")
+    _add_command(sub, "subfield", "subfield subcode dimensions",
+                 "s", "t", "json")
+    _add_command(sub, "bound", "order bound on the minimum distance",
+                 "s", "json")
+    p = _add_command(sub, "mindist", "exact distance of the subfield subcode",
+                     "s", "t", "json", "budget")
     p.add_argument("--method", choices=["parity", "enum"], default="parity")
-
-    p = sub.add_parser("sweep", help="reports over a range of s, cached")
-    _add_shared(p, need_t=True)
+    p = _add_command(sub, "sweep", "reports over a range of s, cached",
+                     "t", "exact", "budget")
     p.add_argument("--s-range", required=True,
                    help="inclusive range A:B of weights")
     p.add_argument("--cache", default=None, help="JSON-lines cache path")
     p.add_argument("--force", action="store_true")
-
-    p = sub.add_parser("export", help="write a generator matrix to a file")
-    _add_shared(p, need_s=True)
+    p = _add_command(sub, "export", "write a generator matrix to a file", "s")
+    p.add_argument("--t", type=int, default=None)
     p.add_argument("--out", required=True)
     return ap
 
@@ -112,8 +104,7 @@ def _run(args) -> int:
     elif cmd == "code":
         rep = run_report(args.p, args.l, args.r, args.u, args.s, args.t,
                          exact=True if args.exact else None,
-                         budget=args.budget,
-                         delta_variant=args.delta_variant)
+                         budget=args.budget)
         if args.as_json:
             print(rep.to_json())
         else:
@@ -142,12 +133,10 @@ def _run(args) -> int:
                      "witness": inv.witness})
     elif cmd == "bound":
         c = make_curve(args.p, args.l, args.r, args.u)
-        data = {"s": args.s,
-                "bound": geil_bound(c, args.s, args.delta_variant)}
-        other = "paper" if args.delta_variant == "footprint" else "footprint"
-        other_val = geil_bound(c, args.s, other)
-        if other_val != data["bound"]:
-            data[f"bound_{other}_variant"] = other_val
+        data = {"s": args.s, "bound": geil_bound(c, args.s)}
+        paper = geil_bound(c, args.s, "paper")
+        if paper != data["bound"]:
+            data["bound_paper_variant"] = paper
         _emit(args, data)
     elif cmd == "mindist":
         c = make_curve(args.p, args.l, args.r, args.u)
@@ -165,8 +154,7 @@ def _run(args) -> int:
                         range(lo, hi + 1), args.t,
                         cache_path=args.cache, force=args.force,
                         exact=True if args.exact else False,
-                        budget=args.budget,
-                        delta_variant=args.delta_variant)
+                        budget=args.budget)
         for rep in reports:
             print(rep.to_json())
     elif cmd == "export":
@@ -190,7 +178,7 @@ def main(argv=None) -> int:
     except (CurveError, FieldError, ValueError) as exc:
         print(f"invalid parameters: {exc}", file=sys.stderr)
         return EXIT_PARAMS
-    except OSError as exc:
+    except (CacheError, OSError) as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
 

@@ -5,8 +5,14 @@ monomials of weight at most s at all n points.  The dual of NT_u(s) is the
 twisted code v * NT_u(s') with s' = n + 2g - 2 - s, where v_P = -1/u at the
 points with x != 0 and v_P = -1 at the points with x = 0.  When u = 1 mod p
 the twist is a constant and drops out, so the dual is NT_u(s') itself, as
-for every binary curve.  check_duality verifies this relation explicitly
-(orthogonality plus dimension count) at runtime.
+for every binary curve.
+
+check_duality verifies this relation at runtime without building either
+code.  Both are spans of monomial evaluations, so they are orthogonal
+exactly when every twisted power sum S(a, b) = sum_P v_P x^a y^b vanishes,
+for (a, b) a sum of exponents of a weight-<=s and a weight-<=s' monomial.
+Footprint monomials evaluate independently (build_code asserts this for
+every code it builds), so each dimension is a count of monomials.
 """
 
 from __future__ import annotations
@@ -15,7 +21,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .curves import CurveSpec, enumerate_points
-from .linalg import LinearCode, matrix_product_is_zero, row_space_basis
+from .linalg import LinearCode, row_space_basis
 from .monomials import monomials_up_to
 from .reduction import SparsePolynomial
 
@@ -23,8 +29,6 @@ from .reduction import SparsePolynomial
 def _monomial_rows(curve: CurveSpec, monos):
     fld = curve.field
     points = enumerate_points(curve)
-    # Precompute coordinate powers once; the matrices are small but this
-    # keeps repeated build_code calls cheap.
     rows = []
     for (i, j) in monos:
         rows.append([fld.mul(fld.pow(x, i), fld.pow(y, j))
@@ -102,30 +106,47 @@ class DualityReport:
         return self.orthogonal and self.dims_sum_to_n
 
 
-def _duality_twist(curve: CurveSpec):
-    """v with NT_u(s)^perp = v * NT_u(s'), one entry per point; None when v
-    is constant, that is when u = 1 mod p."""
-    if curve.u % curve.p == 1:
-        return None
+def _duality_twist(curve: CurveSpec, x: int) -> int:
+    """v_P at the points with this x: -1 at x = 0 and -1/u elsewhere, which
+    is -1 for every x when u = 1 mod p."""
     fld = curve.field
-    off_axis = fld.neg(fld.inv(curve.u % curve.p))
-    return [off_axis if x else fld.neg(1) for x, _ in enumerate_points(curve)]
+    return fld.neg(fld.inv(curve.u % curve.p) if x else 1)
+
+
+def _field_sum(fld, values) -> int:
+    total = 0
+    for v in values:
+        total = fld.add(total, v)
+    return total
 
 
 def check_duality(curve: CurveSpec, s: int) -> DualityReport:
-    """Verify NT_u(s)^perp = v * NT_u(dual_weight(s)) by explicit computation."""
+    """Verify NT_u(s)^perp = v * NT_u(dual_weight(s)) from power sums.
+
+    The points are grouped by x, which fixes v_P, and each group keeps one
+    power sum of its y's per exponent b.  The codes are orthogonal when
+    S(a, b) = sum_x v(x) x^a sum_y y^b is zero for every exponent sum (a, b)
+    of a monomial in M(s) and one in M(s').  The dimensions are |M(s)| and
+    |M(s')|: footprint monomials evaluate independently.
+    """
     s_dual = dual_weight(curve, s)
-    c1 = build_code(curve, s)
-    c2 = build_code(curve, s_dual)
+    monos = monomials_up_to(curve, s)
+    dual_monos = monomials_up_to(curve, s_dual)
+    sums = {(i + a, j + b) for i, j in monos for a, b in dual_monos}
     fld = curve.field
-    dual_rows = c2.code.generators
-    twist = _duality_twist(curve)
-    if twist is not None:
-        dual_rows = [[fld.mul(v, b) for v, b in zip(twist, row)]
-                     for row in dual_rows]
-    orthogonal = matrix_product_is_zero(c1.code.generators, dual_rows, fld)
+    fibers = {}
+    for x, y in enumerate_points(curve):
+        fibers.setdefault(x, []).append(y)
+    # b -> [(x, v(x) * sum of y^b over the points with this x)]
+    twisted = {b: [(x, fld.mul(_duality_twist(curve, x),
+                              _field_sum(fld, (fld.pow(y, b) for y in ys))))
+                   for x, ys in fibers.items()]
+               for b in {b for _, b in sums}}
+    orthogonal = not any(
+        _field_sum(fld, (fld.mul(fld.pow(x, a), w) for x, w in twisted[b]))
+        for a, b in sums)
     return DualityReport(
         curve=curve, s=s, s_dual=s_dual,
-        dim_s=c1.k, dim_dual=c2.k,
+        dim_s=len(monos), dim_dual=len(dual_monos),
         orthogonal=orthogonal,
-        dims_sum_to_n=(c1.k + c2.k == curve.n))
+        dims_sum_to_n=(len(monos) + len(dual_monos) == curve.n))

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import gcd
 
 from .fields import FieldError, FiniteField, make_field
 
@@ -77,9 +76,7 @@ class CurveSpec:
 
 
 def make_curve(p: int, l: int, r: int, u: int) -> CurveSpec:
-    spec = CurveSpec(p, l, r, u)
-    assert gcd(u, spec.weight_x) == 1
-    return spec
+    return CurveSpec(p, l, r, u)
 
 
 @lru_cache(maxsize=None)

@@ -305,7 +305,7 @@ class FiniteField:
         target = self.order - 1
         factors = _prime_factors(target) if target > 1 else []
         for g in range(1, self.order):
-            if all(self._pow_poly(g, target // f) != 1 for f in factors):
+            if all(self.pow(g, target // f) != 1 for f in factors):
                 break
         exp = [0] * target
         log = [0] * self.order
@@ -316,15 +316,6 @@ class FiniteField:
             acc = self._mul_poly(acc, g)
         self._exp = exp
         self._log = log
-
-    def _pow_poly(self, a, n):
-        result = 1
-        while n:
-            if n & 1:
-                result = self._mul_poly(result, a)
-            a = self._mul_poly(a, a)
-            n >>= 1
-        return result
 
     # -- structure --
 
@@ -344,21 +335,24 @@ class FiniteField:
             raise FieldError(f"{t} is not a subfield order of F_{self.order}")
         return self.pow(a, t)
 
+    def subfield_degree(self, t: int) -> int:
+        """The degree m with order = t^m, for a subfield order t."""
+        m, tm = 0, 1
+        while 1 < t and tm < self.order:
+            tm *= t
+            m += 1
+        if tm != self.order:
+            raise FieldError(f"{t} is not a subfield order of F_{self.order}")
+        return m
+
     def trace_in_field(self, a: int, t: int) -> int:
         """Trace down to the t-element subfield, as an element of this field.
 
         Computes sum of a^{t^i} for 0 <= i < m where order = t^m.
         """
-        if not self.is_subfield_order(t):
-            raise FieldError(f"{t} is not a subfield order of F_{self.order}")
-        m = 1
-        tm = t
-        while tm < self.order:
-            tm *= t
-            m += 1
         out = 0
         cur = a
-        for _ in range(m):
+        for _ in range(self.subfield_degree(t)):
             out = self.add(out, cur)
             cur = self.pow(cur, t)
         return out
@@ -482,14 +476,7 @@ def embedding(small: FiniteField, big: FiniteField) -> SubfieldEmbedding:
 
 def subfield_of_order(field: FiniteField, t: int) -> FiniteField:
     """The canonical subfield of the given order, with validation."""
-    if not field.is_subfield_order(t):
-        raise FieldError(f"{t} is not a subfield order of F_{field.order}")
-    d = 0
-    tt = t
-    while tt > 1:
-        tt //= field.p
-        d += 1
-    return make_field(field.p, d)
+    return make_field(field.p, field.e // field.subfield_degree(t))
 
 
 def trace_to(sub: FiniteField, field: FiniteField, x: int) -> int:

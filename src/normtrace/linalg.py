@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .fields import FiniteField, SubfieldEmbedding
+from .fields import FiniteField
 
 
 def _pack(row) -> int:
@@ -127,26 +127,3 @@ def kernel(code: LinearCode) -> LinearCode:
             vec[pc] = row[fc]
         out.append(vec)
     return row_space_basis(out, fld, n)
-
-
-def expand_to_subfield(rows, emb: SubfieldEmbedding):
-    """Replace each big-field entry by its coordinate expansion.
-
-    An r x n matrix over F_{t^m} becomes an r x (n*m) matrix over F_t, entry
-    (i, j) expanding into columns j*m .. j*m + m - 1.
-    """
-    table = emb.coordinates
-    return [[c for v in row for c in table[v]] for row in rows]
-
-
-def matrix_product_is_zero(a_rows, b_rows, fld: FiniteField) -> bool:
-    """Whether A * B^T = 0, i.e. every row of A is orthogonal to each of B."""
-    b_cols = list(zip(*b_rows))
-    for ra in a_rows:
-        acc = [0] * len(b_rows)  # minus row ra of A * B^T
-        for x, col in zip(ra, b_cols):
-            if x:
-                acc = fld.sub_scaled_row(acc, x, col)
-        if any(acc):
-            return False
-    return True

@@ -71,13 +71,6 @@ class SparsePolynomial:
                 out.pop(m, None)
         return SparsePolynomial.from_dict(fld, out)
 
-    def scale(self, c: int) -> "SparsePolynomial":
-        if c == 0:
-            return SparsePolynomial(self.field, ())
-        fld = self.field
-        return SparsePolynomial.from_dict(
-            fld, {m: fld.mul(c, v) for m, v in self.terms})
-
 
 def monomial_poly(field: FiniteField, mono: Monomial,
                   coeff: int = 1) -> SparsePolynomial:

@@ -73,8 +73,7 @@ class CodeReport:
 
 def run_report(p: int, l: int, r: int, u: int, s: int, t: int,
                exact: bool | None = None,
-               budget: int = DEFAULT_BUDGET,
-               delta_variant: str = "footprint") -> CodeReport:
+               budget: int = DEFAULT_BUDGET) -> CodeReport:
     """Full pipeline for one instance.
 
     exact=None attempts the exact distance and leaves it null on budget
@@ -89,17 +88,16 @@ def run_report(p: int, l: int, r: int, u: int, s: int, t: int,
         raise AssertionError(f"duality check failed for s={s}: {duality}")
     trace_dim = trace_span_dim(curve, s_dual, t)
     dim_sub = curve.n - trace_dim
-    bound = geil_bound(curve, s, delta_variant)
+    bound = geil_bound(curve, s)
     notes = []
     printed = dual_weight_printed_formula(curve, s)
     if printed != s_dual:
         notes.append(f"printed dual-weight formula gives {printed}, "
                      f"verified involution gives {s_dual}")
-    other_variant = "paper" if delta_variant == "footprint" else "footprint"
-    other_bound = geil_bound(curve, s, other_variant)
-    if other_bound != bound:
-        notes.append(f"order bound over the {other_variant} monomial box "
-                     f"gives {other_bound} instead of {bound}")
+    paper_bound = geil_bound(curve, s, "paper")
+    if paper_bound != bound:
+        notes.append("order bound over the paper monomial box "
+                     f"gives {paper_bound} instead of {bound}")
 
     exact_distance = None
     method = None
@@ -149,8 +147,9 @@ def run_report(p: int, l: int, r: int, u: int, s: int, t: int,
     )
 
 
-class CacheError(ValueError):
-    """Corrupt sweep cache: duplicate keys or malformed records."""
+class CacheError(Exception):
+    """Corrupt sweep cache or matrix file: duplicate keys or malformed
+    records."""
 
 
 def read_cache(path) -> dict:
@@ -162,7 +161,11 @@ def read_cache(path) -> dict:
     for lineno, line in enumerate(path.read_text().splitlines(), 1):
         if not line.strip():
             continue
-        rep = CodeReport.from_json(line)
+        try:
+            rep = CodeReport.from_json(line)
+        except (ValueError, KeyError, TypeError) as exc:
+            raise CacheError(f"malformed cache record at line {lineno}: "
+                             f"{exc}") from None
         if rep.key() in out:
             raise CacheError(f"duplicate cache key {rep.key()} at line {lineno}")
         out[rep.key()] = rep
@@ -172,8 +175,7 @@ def read_cache(path) -> dict:
 def sweep(p: int, l: int, r: int, u: int, s_values, t: int,
           cache_path=None, force: bool = False,
           exact: bool | None = False,
-          budget: int = DEFAULT_BUDGET,
-          delta_variant: str = "footprint") -> list:
+          budget: int = DEFAULT_BUDGET) -> list:
     """One report per s, appending new records to the JSON-lines cache.
 
     Cached keys are skipped unless force=True (recomputed records then
@@ -187,8 +189,7 @@ def sweep(p: int, l: int, r: int, u: int, s_values, t: int,
         if not force and key in cached:
             results.append(cached[key])
             continue
-        rep = run_report(p, l, r, u, s, t, exact=exact, budget=budget,
-                         delta_variant=delta_variant)
+        rep = run_report(p, l, r, u, s, t, exact=exact, budget=budget)
         results.append(rep)
         fresh.append(rep)
         cached[key] = rep
@@ -217,9 +218,12 @@ def import_matrix(path) -> LinearCode:
     """Inverse of export_matrix; re-canonicalizes and validates entries."""
     from .fields import make_field
     tokens = Path(path).read_text().split()
-    p, e, rows, cols = (int(t) for t in tokens[:4])
+    try:
+        p, e, rows, cols, *vals = map(int, tokens)
+    except ValueError as exc:
+        raise CacheError(f"{path}: expected a `p e rows cols` header and "
+                         f"integer entries ({exc})") from None
     fld = make_field(p, e)
-    vals = [int(t) for t in tokens[4:]]
     if len(vals) != rows * cols:
         raise CacheError(f"expected {rows * cols} entries, got {len(vals)}")
     for v in vals:

@@ -24,17 +24,6 @@ from .monomials import footprint, monomials_up_to
 from .reduction import frobenius_power, monomial_poly, normal_form
 
 
-def _extension_degree(big_order: int, t: int) -> int:
-    m = 0
-    v = 1
-    while v < big_order:
-        v *= t
-        m += 1
-    if v != big_order:
-        raise FieldError(f"{t} is not a subfield order of F_{big_order}")
-    return m
-
-
 def code_frobenius(code: LinearCode, t: int) -> LinearCode:
     """C^(t): coordinatewise t-th power, re-echelonized."""
     fld = code.field
@@ -64,7 +53,7 @@ def trace_span(curve: CurveSpec, s: int, t: int) -> TraceSpanResult:
     dimension is the rank of the reduced coefficient vectors.
     """
     fld = curve.field
-    m = _extension_degree(fld.order, t)
+    m = fld.subfield_degree(t)
     monos = monomials_up_to(curve, s)
     seen = set()
     reduced = []

@@ -1,5 +1,8 @@
 import random
 
+import pytest
+
+from normtrace import codes
 from normtrace.codes import (affine_variety_code, build_code, check_duality,
                              dual_weight, dual_weight_printed_formula)
 from normtrace.curves import enumerate_points, make_curve
@@ -58,19 +61,78 @@ def test_check_duality_examples():
     assert rep.ok and (rep.dim_s, rep.dim_dual) == (45, 3)
 
 
+def matrix_duality(curve, s, s_dual, twisted=True):
+    """Independent route: (orthogonal, k, k') from the generator matrices of
+    NT_u(s) and NT_u(s'), twisting the second by -1 at x = 0 and -1/u
+    elsewhere, with one dot product per pair of rows."""
+    fld = curve.field
+    code, dual = build_code(curve, s).code, build_code(curve, s_dual).code
+    if twisted:
+        off_axis = fld.neg(fld.inv(curve.u % curve.p))
+        twist = [off_axis if x else fld.neg(1)
+                 for x, _ in enumerate_points(curve)]
+    else:
+        twist = [1] * curve.n
+    dual_rows = [[fld.mul(v, b) for v, b in zip(twist, row)]
+                 for row in dual.generators]
+
+    def dot(row, other):
+        total = 0
+        for a, b in zip(row, other):
+            total = fld.add(total, fld.mul(a, b))
+        return total
+
+    orthogonal = all(dot(row, other) == 0
+                     for row in code.generators for other in dual_rows)
+    return orthogonal, code.k, dual.k
+
+
+def assert_matches_matrix_route(curve):
+    for s in range(curve.n + 2 * curve.genus - 1):
+        rep = check_duality(curve, s)
+        expect = matrix_duality(curve, s, dual_weight(curve, s))
+        assert (rep.orthogonal, rep.dim_s, rep.dim_dual) == expect
+        assert rep.ok
+
+
 def test_check_duality_full_sweep():
-    for curve in (NT3, NT5):
-        for s in range(curve.n + 2 * curve.genus - 1):
-            assert check_duality(curve, s).ok
+    for curve in (NT3, NT5, make_curve(2, 2, 2, 5)):
+        assert_matches_matrix_route(curve)
 
 
 def test_check_duality_twisted_in_odd_characteristic():
-    # u = 2 is not 1 mod p here, so the dual NT_u(s') carries the twist
-    # -1/u off the axis x = 0; without it no weight s would pass.
-    for params in [(3, 1, 2, 2), (5, 1, 2, 2)]:
-        curve = make_curve(*params)
-        for s in range(curve.n + 2 * curve.genus - 1):
-            assert check_duality(curve, s).ok
+    # u is not 1 mod p on these curves, so the dual NT_u(s') carries the
+    # twist -1/u off the axis x = 0.
+    for params in [(3, 1, 2, 2), (5, 1, 2, 2), (5, 1, 2, 3)]:
+        assert_matches_matrix_route(make_curve(*params))
+
+
+def test_check_duality_rejects_untwisted_sums(monkeypatch):
+    curve = make_curve(3, 1, 2, 2)  # u = 2 is not 1 mod 3
+    monkeypatch.setattr(codes, "_duality_twist", lambda curve, x: 1)
+    for s in range(curve.n + 2 * curve.genus - 1):
+        rep = check_duality(curve, s)
+        assert not rep.orthogonal
+        assert not matrix_duality(curve, s, rep.s_dual, twisted=False)[0]
+
+
+@pytest.mark.parametrize("params", [(3, 1, 2, 2), (2, 1, 4, 3),
+                                    (5, 1, 2, 3)], ids=str)
+def test_check_duality_rejects_shifted_dual_weight(params, monkeypatch):
+    curve = make_curve(*params)
+    shifted = {s: dual_weight(curve, s) + 1
+               for s in range(curve.n + 2 * curve.genus - 1)}
+    monkeypatch.setattr(codes, "dual_weight", lambda curve, s: shifted[s])
+    rejected = 0
+    for s, s_dual in shifted.items():
+        if monomials_up_to(curve, s_dual) == monomials_up_to(curve,
+                                                             s_dual - 1):
+            continue  # no monomial of weight s' + 1: the same code
+        rep = check_duality(curve, s)
+        assert not rep.orthogonal and not rep.ok
+        assert not matrix_duality(curve, s, s_dual)[0]
+        rejected += 1
+    assert rejected > 0
 
 
 def test_restricted_monomial_set_spans_same_code():

@@ -66,6 +66,23 @@ def test_cache_rejects_duplicates(tmp_path):
         read_cache(cache)
 
 
+def test_cache_truncated_line_names_the_line(tmp_path):
+    cache = tmp_path / "cache.jsonl"
+    rep = run_report(2, 1, 4, 3, 0, 2, exact=False)
+    cache.write_text(rep.to_json() + "\n" + '{"p": 2, "l": 1\n')
+    with pytest.raises(CacheError, match="line 2"):
+        read_cache(cache)
+
+
+@pytest.mark.parametrize("text", ["2 1\n", "2 1 x 4\n"],
+                         ids=["short", "non-numeric"])
+def test_import_matrix_malformed_header(tmp_path, text):
+    path = tmp_path / "m.txt"
+    path.write_text(text)
+    with pytest.raises(CacheError, match="header"):
+        import_matrix(path)
+
+
 def test_export_import_round_trip(tmp_path):
     sub = subfield_subcode_of_ent(NT3, 36, 2)
     path = tmp_path / "m.txt"
@@ -128,6 +145,36 @@ def test_cli_io_exit(capsys):
     rc = main(["export", "--p", "2", "--l", "1", "--r", "4", "--u", "3",
                "--s", "8", "--out", "/nonexistent-dir/x.txt"])
     assert rc == 4
+
+
+@pytest.mark.parametrize("corrupt", ["truncated", "duplicate"])
+def test_cli_corrupt_cache_exit(tmp_path, capsys, corrupt):
+    cache = tmp_path / "sweep.jsonl"
+    line = run_report(2, 1, 4, 3, 0, 2, exact=False).to_json()
+    second = line if corrupt == "duplicate" else line[:15]
+    cache.write_text(line + "\n" + second + "\n")
+    rc = main(["sweep", "--p", "2", "--l", "1", "--r", "4", "--u", "3",
+               "--t", "2", "--s-range", "0:1", "--cache", str(cache)])
+    assert rc == 4
+    assert "line 2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["points", "--exact"], ["points", "--budget", "5"], ["points", "--s", "3"],
+    ["points", "--t", "9"], ["points", "--json"],
+    ["curve", "--s", "3"], ["dual", "--s", "3", "--t", "2"],
+    ["bound", "--s", "3", "--delta-variant", "paper"],
+    ["subfield", "--s", "3", "--t", "2", "--exact"],
+    ["mindist", "--s", "3", "--t", "2", "--exact"],
+    ["sweep", "--t", "2", "--s-range", "0:1", "--s", "3"],
+    ["export", "--s", "3", "--out", "x.txt", "--budget", "5"],
+], ids=lambda argv: " ".join(argv))
+def test_cli_rejects_unread_options(argv, capsys):
+    curve = ["--p", "2", "--l", "1", "--r", "4", "--u", "3"]
+    with pytest.raises(SystemExit) as exc:
+        main(argv[:1] + curve + argv[1:])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_cli_sweep_cache(tmp_path, capsys):
