@@ -137,8 +137,9 @@ def check_duality(curve: CurveSpec, s: int) -> DualityReport:
     fibers = {}
     for x, y in enumerate_points(curve):
         fibers.setdefault(x, []).append(y)
+    twist = {x: _duality_twist(curve, x) for x in fibers}
     # b -> [(x, v(x) * sum of y^b over the points with this x)]
-    twisted = {b: [(x, fld.mul(_duality_twist(curve, x),
+    twisted = {b: [(x, fld.mul(twist[x],
                               _field_sum(fld, (fld.pow(y, b) for y in ys))))
                    for x, ys in fibers.items()]
                for b in {b for _, b in sums}}

@@ -3,7 +3,8 @@ import random
 import pytest
 
 from normtrace.fields import make_field
-from normtrace.linalg import LinearCode, kernel, row_space_basis, rref
+from normtrace.linalg import (LinearCode, kernel, matrix_product_is_zero,
+                              row_space_basis, rref)
 
 F2 = make_field(2, 1)
 F4 = make_field(2, 2)
@@ -122,3 +123,18 @@ def test_rref_matches_per_entry_reference():
             expect = reference_rref(rows, fld)
             assert rref(rows, fld) == expect
             assert rref([tuple(r) for r in rows], fld) == expect
+
+
+def test_product_check_matches_per_entry_reference():
+    rng = random.Random(61)
+    for p, e in KERNEL_FIELDS:
+        fld = make_field(p, e)
+        for _ in range(5):
+            code = random_code(rng, fld, 7, 3)
+            dual = kernel(code)
+            assert matrix_product_is_zero(code.generators, dual.generators,
+                                          fld)
+            row = code.generators[0]
+            other = [rng.randrange(fld.order) for _ in range(7)]
+            assert matrix_product_is_zero([row], [other], fld) == (
+                dot(fld, row, other) == 0)
