@@ -47,6 +47,16 @@ def _add_command(sub, name, summary, *options):
     return parser
 
 
+def _weight_range(text: str) -> tuple:
+    """An inclusive range of weights written A:B."""
+    lo, _, hi = text.partition(":")
+    try:
+        return int(lo), int(hi)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected A:B with integers A and B, got {text!r}") from None
+
+
 def _emit(args, data: dict):
     if args.as_json:
         print(json.dumps(data, sort_keys=True))
@@ -79,7 +89,7 @@ def build_parser():
     p.add_argument("--method", choices=["parity", "enum"], default="parity")
     p = _add_command(sub, "sweep", "reports over a range of s, cached",
                      "t", "exact", "budget")
-    p.add_argument("--s-range", required=True,
+    p.add_argument("--s-range", required=True, type=_weight_range,
                    help="inclusive range A:B of weights")
     p.add_argument("--cache", default=None, help="JSON-lines cache path")
     p.add_argument("--force", action="store_true")
@@ -149,7 +159,7 @@ def _run(args) -> int:
                      "witness": "".join(str(v) for v in res.witness)
                      if code.field.order <= 10 else list(res.witness)})
     elif cmd == "sweep":
-        lo, hi = (int(v) for v in args.s_range.split(":"))
+        lo, hi = args.s_range
         reports = sweep(args.p, args.l, args.r, args.u,
                         range(lo, hi + 1), args.t,
                         cache_path=args.cache, force=args.force,

@@ -27,13 +27,13 @@ from .reduction import SparsePolynomial
 
 
 def _monomial_rows(curve: CurveSpec, monos):
+    """Evaluations of the monomials at the points, from one table of x^i
+    and one of y^j over the points per exponent that occurs."""
     fld = curve.field
-    points = enumerate_points(curve)
-    rows = []
-    for (i, j) in monos:
-        rows.append([fld.mul(fld.pow(x, i), fld.pow(y, j))
-                     for (x, y) in points])
-    return rows
+    xs, ys = zip(*enumerate_points(curve))
+    xpow = {i: [fld.pow(x, i) for x in xs] for i in {i for i, _ in monos}}
+    ypow = {j: [fld.pow(y, j) for y in ys] for j in {j for _, j in monos}}
+    return [list(map(fld.mul, xpow[i], ypow[j])) for i, j in monos]
 
 
 def affine_variety_code(points, polys, fld) -> LinearCode:

@@ -15,7 +15,7 @@ from math import comb
 
 from .curves import CurveSpec
 from .fields import FieldError
-from .linalg import LinearCode, kernel, rref
+from .linalg import LaneRows, LinearCode, has_lanes, kernel, rref
 from .monomials import footprint, footprint_paper_variant, weight
 
 DEFAULT_BUDGET = 1 << 26
@@ -161,6 +161,18 @@ def _first_dependent_set(cols, w, fld):
         def eliminate(v, rest):
             bit = v & -v
             return [u ^ v if u & bit else u for u in rest]
+
+        def is_zero(u):
+            return not u
+    elif has_lanes(fld):
+        # Columns in byte lanes; the pivot is the lowest nonzero lane.
+        lanes = LaneRows(fld, len(cols[0]))
+        cols = [lanes.pack(c) for c in cols]
+
+        def eliminate(v, rest):
+            col = lanes.lead(v)
+            times, shift = lanes.pivot_multiples(v, col), col << 3
+            return [u ^ times[u >> shift & 255] for u in rest]
 
         def is_zero(u):
             return not u

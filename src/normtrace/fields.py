@@ -5,8 +5,9 @@ polynomial-basis coefficient vector (a_0, ..., a_{e-1}) as sum(a_i * p^i).
 All arithmetic goes through a FiniteField instance; for orders up to 2^16
 multiplication and inversion use precomputed exp/log tables, above that they
 fall back to polynomial arithmetic modulo the field's irreducible modulus.
-Row operations for the matrix kernels use full multiplication and
-subtraction tables for orders up to 256, built on first use.
+In odd characteristic, row operations for the matrix kernels use full
+multiplication and subtraction tables for orders up to 256, built on first
+use; characteristic 2 rows take byte lanes in linalg instead.
 """
 
 from __future__ import annotations
@@ -269,15 +270,15 @@ class FiniteField:
     # -- row arithmetic for the matrix kernels --
 
     def _row_tables(self):
-        """(mul, sub) with mul[a][b] = a*b and sub[a][b] = a-b, or None above
-        ROW_TABLE_LIMIT.  sub is None in characteristic 2, where a-b = a^b.
+        """(mul, sub) with mul[a][b] = a*b and sub[a][b] = a-b, for odd
+        characteristic up to ROW_TABLE_LIMIT, else None.  Rows in
+        characteristic 2 are eliminated in byte lanes (linalg.LaneRows).
         """
-        if self._tables is None and self.order <= ROW_TABLE_LIMIT:
+        if self._tables is None and self.p != 2 and \
+                self.order <= ROW_TABLE_LIMIT:
             q = self.elements()
-            mul = [[self.mul(a, b) for b in q] for a in q]
-            sub = None if self.p == 2 else \
-                [[self.sub(a, b) for b in q] for a in q]
-            self._tables = (mul, sub)
+            self._tables = ([[self.mul(a, b) for b in q] for a in q],
+                            [[self.sub(a, b) for b in q] for a in q])
         return self._tables
 
     def scale_row(self, c: int, row) -> list:
@@ -295,8 +296,6 @@ class FiniteField:
             return [self.sub(v, self.mul(c, w)) for v, w in zip(row, other)]
         mul, sub = tables
         mc = mul[c]
-        if sub is None:
-            return [v ^ mc[w] for v, w in zip(row, other)]
         return [sub[v][mc[w]] for v, w in zip(row, other)]
 
     # -- discrete-log tables --

@@ -15,6 +15,19 @@ be done with two total rewrite rules:
 
 Each application strictly decreases the polynomial in the monomial order,
 so the rewriting terminates with the unique footprint-supported normal form.
+
+normal_form runs these rules on any polynomial.  The normal form of a single
+monomial is read from a table instead (monomial_normal_form):
+
+    NF(X^a Y^b)  = X-reduce(X^a * NF(Y^b))
+    NF(Y^b)      = X-reduce(X^u * NF(Y^{b-q^{r-1}}))
+                   - sum_{k<r-1} NF(Y^{b-q^{r-1}+q^k})      for b >= q^{r-1}
+
+where X-reduce replaces X^i, i >= 1, by X^{((i-1) mod u(q-1)) + 1}.  Since
+y^{q^r} = y at every point, NF(Y^b) for b >= 1 depends only on
+((b-1) mod (q^r-1)) + 1, so the table of NF(Y^b) holds at most q^r - 1
+entries per curve.  The trace span and the Frobenius-invariance test take
+every normal form they need from it.
 """
 
 from __future__ import annotations
@@ -148,6 +161,68 @@ def normal_form(curve: CurveSpec, f: SparsePolynomial) -> SparsePolynomial:
             else:
                 work.pop(m, None)
     return SparsePolynomial.from_dict(fld, done)
+
+
+def _x_exponent(curve: CurveSpec, a: int) -> int:
+    """The exponent of X^a after X^{u(q-1)+1} -> X, applied until standard."""
+    period = curve.u * (curve.q - 1)
+    return a if a <= period else (a - 1) % period + 1
+
+
+def _times_x_power(curve: CurveSpec, a: int, terms: dict) -> dict:
+    """X-reduced X^a * f, for f given as {monomial: coefficient}."""
+    fld = curve.field
+    out = {}
+    for (i, j), c in terms.items():
+        key = (_x_exponent(curve, a + i), j)
+        s = fld.add(out.get(key, 0), c)
+        if s:
+            out[key] = s
+        else:
+            out.pop(key, None)
+    return out
+
+
+def _y_power_form(curve: CurveSpec, b: int) -> dict:
+    """NF(Y^b) as {monomial: coefficient}; callers must not mutate it."""
+    q, r = curve.q, curve.r
+    if b >= q ** (r - 1):
+        b = (b - 1) % (q**r - 1) + 1  # y^{q^r} = y at every point
+    if b < q ** (r - 1):
+        return {(0, b): 1}
+    return _y_power_table(curve, b)
+
+
+@lru_cache(maxsize=None)
+def _y_power_table(curve: CurveSpec, b: int) -> dict:
+    """NF(Y^b) for q^{r-1} <= b < q^r, so at most q^r - 1 entries per curve.
+
+    Y^b = Y^{b-q^{r-1}} * Y^{q^{r-1}} -> X^u Y^{b-q^{r-1}}
+    - sum_{k<r-1} Y^{b-q^{r-1}+q^k}, and every exponent on the right is
+    smaller than b.
+    """
+    fld = curve.field
+    jcap = curve.q ** (curve.r - 1)
+    nf = _times_x_power(curve, curve.u, _y_power_form(curve, b - jcap))
+    for k in range(curve.r - 1):
+        for m, c in _y_power_form(curve, b - jcap + curve.q**k).items():
+            s = fld.sub(nf.get(m, 0), c)
+            if s:
+                nf[m] = s
+            else:
+                nf.pop(m, None)
+    return nf
+
+
+def monomial_normal_form(curve: CurveSpec, a: int, b: int) -> SparsePolynomial:
+    """NF(X^a Y^b), read from the curve's table of NF(Y^b).
+
+    Equal to normal_form(curve, monomial_poly(field, (a, b))): the result is
+    X-reduced X^a * NF(Y^b), and NF(Y^b) depends on b only through
+    ((b - 1) mod (q^r - 1)) + 1 for b >= 1.
+    """
+    return SparsePolynomial.from_dict(
+        curve.field, _times_x_power(curve, a, _y_power_form(curve, b)))
 
 
 def frobenius_power(f: SparsePolynomial, t: int) -> SparsePolynomial:

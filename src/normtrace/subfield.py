@@ -19,9 +19,10 @@ from .codes import build_code, dual_weight
 from .curves import CurveSpec
 from .fields import FieldError, SubfieldEmbedding, embedding, make_field, \
     subfield_of_order
-from .linalg import LinearCode, rank, row_space_basis, rref
+from .linalg import LaneRows, LinearCode, has_lanes, rank, \
+    row_space_basis, rref
 from .monomials import footprint, monomials_up_to
-from .reduction import frobenius_power, monomial_poly, normal_form
+from .reduction import monomial_normal_form
 
 
 def code_frobenius(code: LinearCode, t: int) -> LinearCode:
@@ -50,21 +51,20 @@ def trace_span(curve: CurveSpec, s: int, t: int) -> TraceSpanResult:
 
     The trace code is the evaluation code of all m^{t^i} reduced modulo the
     curve ideal; since footprint monomials evaluate independently, its
-    dimension is the rank of the reduced coefficient vectors.
+    dimension is the rank of the reduced coefficient vectors.  Each m^{t^i}
+    is a monomial, so its normal form comes from monomial_normal_form.
     """
     fld = curve.field
     m = fld.subfield_degree(t)
     monos = monomials_up_to(curve, s)
     seen = set()
     reduced = []
-    for mono in monos:
-        f = monomial_poly(fld, mono)
-        for _ in range(m):
-            nf = normal_form(curve, f)
+    for i, j in monos:
+        for k in range(m):
+            nf = monomial_normal_form(curve, i * t**k, j * t**k)
             if nf.terms not in seen:
                 seen.add(nf.terms)
                 reduced.append(nf)
-            f = frobenius_power(f, t)
     fp = footprint(curve)
     index = {mm: i for i, mm in enumerate(fp)}
     rows = []
@@ -87,13 +87,16 @@ def subfield_subcode_dim(curve: CurveSpec, s: int, t: int) -> int:
 
 
 def _spanning_rows_over_subfield(code: LinearCode, emb: SubfieldEmbedding):
-    """Rows whose F_t-span is all of C: basis rows scaled by a big/small basis."""
+    """Rows whose F_t-span is all of C: basis rows scaled by a big/small basis,
+    yielded one at a time."""
     fld = code.field
-    rows = []
+    lanes = LaneRows(fld, code.n) if has_lanes(fld) else None
     for b in emb.basis:
         for row in code.generators:
-            rows.append(fld.scale_row(b, row))
-    return rows
+            if lanes is not None:
+                yield lanes.unpack(lanes.multiples(lanes.pack(row))[b])
+            else:
+                yield fld.scale_row(b, row)
 
 
 def subfield_subcode_oracle(code: LinearCode,
@@ -116,12 +119,15 @@ def subfield_subcode_oracle(code: LinearCode,
         # Trivial extension: the code already lives over the small field.
         return row_space_basis(code.generators, small, code.n)
     # The embedding's table shares one coordinate tuple per field element.
+    # Entries of a small field of order <= 256 fit a byte, and a bytes row
+    # takes an eighth of the memory of a list.
     table = emb.coordinates
+    row_type = bytes if small.order <= 256 else list
     expanded = []
     for row in _spanning_rows_over_subfield(code, emb):
         comps = [table[v] for v in row]
-        expanded.append([c for cs in comps for c in cs[1:]] +
-                        [cs[0] for cs in comps])
+        expanded.append(row_type([c for cs in comps for c in cs[1:]] +
+                                 [cs[0] for cs in comps]))
     width = code.n * (m - 1)
     reduced, pivots = rref(expanded, small)
     return LinearCode(small, code.n, tuple(
@@ -162,11 +168,10 @@ def is_frobenius_invariant(curve: CurveSpec, s: int,
     if not fld.is_subfield_order(t):
         raise FieldError(f"{t} is not a subfield order of F_{fld.order}")
     allowed = set(monomials_up_to(curve, s))
-    for mono in sorted(allowed):
-        nf = normal_form(curve, frobenius_power(
-            monomial_poly(fld, mono), t))
+    for i, j in sorted(allowed):
+        nf = monomial_normal_form(curve, i * t, j * t)
         if any(m not in allowed for m in nf.support):
-            return FrobeniusInvariance(False, mono)
+            return FrobeniusInvariance(False, (i, j))
     return FrobeniusInvariance(True, None)
 
 

@@ -3,8 +3,8 @@ import random
 import pytest
 
 from normtrace.fields import make_field
-from normtrace.linalg import (LinearCode, kernel, matrix_product_is_zero,
-                              row_space_basis, rref)
+from normtrace.linalg import (LaneRows, LinearCode, has_lanes, kernel,
+                              matrix_product_is_zero, row_space_basis, rref)
 
 F2 = make_field(2, 1)
 F4 = make_field(2, 2)
@@ -92,7 +92,7 @@ def reference_rref(rows, fld):
     return rows[:rank], pivots
 
 
-# F_2 takes the packed XOR loop, the others up to order 256 the table loop,
+# Characteristic 2 takes byte lanes, odd orders up to 256 the table loop,
 # and F_729 the per-entry fallback.
 KERNEL_FIELDS = [(2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2), (5, 2),
                  (3, 3), (3, 6)]
@@ -123,6 +123,48 @@ def test_rref_matches_per_entry_reference():
             expect = reference_rref(rows, fld)
             assert rref(rows, fld) == expect
             assert rref([tuple(r) for r in rows], fld) == expect
+
+
+LANE_FIELDS = [make_field(2, e) for e in range(1, 9)]  # F_2 ... F_256
+
+
+@pytest.mark.parametrize("fld", LANE_FIELDS, ids=repr)
+def test_lane_multiples_match_field_products(fld):
+    assert has_lanes(fld)
+    row = list(fld.elements())
+    lanes = LaneRows(fld, len(row))
+    times = lanes.multiples(lanes.pack(row))
+    for c in fld.elements():
+        assert lanes.unpack(times[c]) == [fld.mul(c, v) for v in row]
+
+
+def lane_matrices(rng, fld, width):
+    def rand(nrows, density=1.0):
+        return [[rng.randrange(fld.order) if rng.random() < density else 0
+                 for _ in range(width)] for _ in range(nrows)]
+    base = rand(3)
+    yield rand(1)
+    yield rand(5)
+    yield rand(12, density=0.3)
+    # Leading entries other than 1, so each pivot row needs an inverse.
+    yield [fld.scale_row(rng.randrange(2, fld.order) if fld.order > 2
+                         else 1, row) for row in rand(6)]
+    # Duplicate and scaled copies of three rows, and a zero row.
+    yield [base[i % 3] for i in range(7)] + \
+        [fld.scale_row(rng.randrange(1, fld.order), base[1]), [0] * width]
+    # Zero columns before and between the pivots.
+    yield [[0] * (width // 2) + row[width // 2:] for row in rand(4, 0.5)]
+
+
+@pytest.mark.parametrize("fld", LANE_FIELDS, ids=repr)
+def test_lane_rref_matches_per_entry_reference(fld):
+    rng = random.Random(fld.e)
+    for width in (1, 7, 8, 9, 129):
+        for rows in lane_matrices(rng, fld, width):
+            expect = reference_rref(rows, fld)
+            assert rref(rows, fld) == expect
+            assert rref([tuple(r) for r in rows], fld) == expect
+            assert rref([bytes(r) for r in rows], fld) == expect
 
 
 def test_product_check_matches_per_entry_reference():

@@ -6,9 +6,10 @@ from normtrace.curves import enumerate_points, make_curve
 from normtrace.fields import FieldError
 from normtrace.linalg import rank
 from normtrace.monomials import footprint, weight
-from normtrace.reduction import (SparsePolynomial, curve_ideal_basis,
-                                 frobenius_power, monomial_poly, normal_form,
-                                 weight_residues)
+from normtrace.reduction import (SparsePolynomial, _y_power_table,
+                                 curve_ideal_basis, frobenius_power,
+                                 monomial_normal_form, monomial_poly,
+                                 normal_form, weight_residues)
 
 NT3 = make_curve(2, 1, 4, 3)
 NT5 = make_curve(2, 1, 4, 5)
@@ -141,3 +142,20 @@ def test_footprint_evaluation_matrix_has_full_rank():
         rows = [[fld.mul(fld.pow(x, i), fld.pow(y, j)) for (x, y) in pts]
                 for (i, j) in footprint(curve)]
         assert rank(rows, fld) == curve.n
+
+
+@pytest.mark.parametrize("params", [(2, 1, 4, 3), (2, 1, 4, 15), (3, 1, 2, 4),
+                                    (2, 2, 2, 5), (5, 1, 2, 6), (2, 1, 6, 3),
+                                    (3, 1, 3, 13)], ids=str)
+def test_monomial_table_matches_rewriting(params):
+    curve = make_curve(*params)
+    q, r, u = curve.q, curve.r, curve.u
+    _y_power_table.cache_clear()
+    ys = list(range(2 * q ** (r - 1) + 5)) + \
+        [q**r - 1, q**r, q**r + 1, 5 * q**r]
+    for a in range(2 * (u * (q - 1) + 1)):
+        for b in ys:
+            expect = normal_form(curve, monomial_poly(curve.field, (a, b)))
+            assert monomial_normal_form(curve, a, b) == expect, (a, b)
+    # The table is keyed by the reduced Y-exponent only.
+    assert _y_power_table.cache_info().currsize <= q**r - 1

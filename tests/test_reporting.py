@@ -177,6 +177,16 @@ def test_cli_rejects_unread_options(argv, capsys):
     assert "unrecognized arguments" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("s_range", ["5", "a:b", "3:"])
+def test_cli_sweep_rejects_malformed_range(s_range, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "--p", "2", "--l", "1", "--r", "4", "--u", "3",
+              "--t", "2", "--s-range", s_range])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "--s-range" in err and "A:B" in err
+
+
 def test_cli_sweep_cache(tmp_path, capsys):
     cache = str(tmp_path / "sweep.jsonl")
     rc = main(["sweep", "--p", "2", "--l", "1", "--r", "4", "--u", "3",

@@ -1,13 +1,18 @@
 import random
 
+import pytest
+
 from normtrace.codes import build_code
 from normtrace.curves import make_curve
 from normtrace.fields import embedding, make_field
 from normtrace.linalg import LinearCode, kernel, rank, row_space_basis
-from normtrace.subfield import (code_frobenius, is_frobenius_invariant,
-                                subfield_subcode_dim, subfield_subcode_of_ent,
+from normtrace.monomials import footprint, monomials_up_to
+from normtrace.reduction import frobenius_power, monomial_poly, normal_form
+from normtrace.subfield import (FrobeniusInvariance, code_frobenius,
+                                is_frobenius_invariant, subfield_subcode_dim,
+                                subfield_subcode_of_ent,
                                 subfield_subcode_oracle, trace_code,
-                                trace_span_dim)
+                                trace_span, trace_span_dim)
 
 NT3 = make_curve(2, 1, 4, 3)
 NT5 = make_curve(2, 1, 4, 5)
@@ -153,3 +158,62 @@ def test_invariance_implies_equal_dimension():
     full = build_code(NT3, 45)
     assert is_frobenius_invariant(NT3, 45, 2).invariant
     assert subfield_subcode_dim(NT3, 45, 2) == full.k
+
+
+def rewriting_trace_span(curve, s, t):
+    """(reduced generators, rank) of the trace span, with every Frobenius
+    power of every monomial taken through normal_form's rewriting."""
+    m = curve.field.subfield_degree(t)
+    seen, reduced = set(), []
+    for mono in monomials_up_to(curve, s):
+        f = monomial_poly(curve.field, mono)
+        for _ in range(m):
+            nf = normal_form(curve, f)
+            if nf.terms not in seen:
+                seen.add(nf.terms)
+                reduced.append(nf)
+            f = frobenius_power(f, t)
+    index = {mono: i for i, mono in enumerate(footprint(curve))}
+    rows = []
+    for nf in reduced:
+        row = [0] * curve.n
+        for mono, c in nf.terms:
+            row[index[mono]] = c
+        rows.append(row)
+    return tuple(reduced), rank(rows, curve.field) if rows else 0
+
+
+def rewriting_invariance(curve, s, t):
+    allowed = set(monomials_up_to(curve, s))
+    for mono in sorted(allowed):
+        nf = normal_form(curve, frobenius_power(
+            monomial_poly(curve.field, mono), t))
+        if any(m not in allowed for m in nf.support):
+            return FrobeniusInvariance(False, mono)
+    return FrobeniusInvariance(True, None)
+
+
+# (curve, subfield orders, stride through the weights 0 .. max_weight + 1)
+SPAN_CASES = [((2, 1, 4, 3), (2, 4), 1), ((2, 1, 4, 5), (2, 4), 3),
+              ((2, 2, 2, 5), (2, 4), 3), ((3, 1, 2, 4), (3,), 2),
+              ((2, 1, 6, 3), (2, 8), 29)]
+
+
+@pytest.mark.parametrize("params,ts,stride", SPAN_CASES, ids=str)
+def test_trace_span_matches_rewriting_route(params, ts, stride):
+    curve = make_curve(*params)
+    for s in range(0, curve.max_weight + 2, stride):
+        for t in ts:
+            span = trace_span(curve, s, t)
+            expect = rewriting_trace_span(curve, s, t)
+            assert (span.reduced_generators, span.dimension) == expect
+
+
+@pytest.mark.parametrize("params", [(2, 1, 4, 3), (2, 1, 4, 5), (2, 2, 2, 5)],
+                         ids=str)
+def test_frobenius_invariance_matches_rewriting_route(params):
+    curve = make_curve(*params)
+    for s in range(curve.max_weight + 2):
+        for t in (2, 4):
+            assert is_frobenius_invariant(curve, s, t) == \
+                rewriting_invariance(curve, s, t)
