@@ -2,7 +2,9 @@
 
 Subcommands: curve, points, code, dual, trace-dim, subfield, bound, mindist,
 sweep, export.  Exit codes: 0 success, 2 invalid parameters, 3 budget
-exceeded, 4 I/O failure.
+exceeded, 4 I/O failure.  When mindist runs out of budget it prints the
+bracket lower <= d <= upper it reached (upper null when no codeword was
+seen) before exiting with 3.
 """
 
 from __future__ import annotations
@@ -153,7 +155,12 @@ def _run(args) -> int:
         code = subfield_subcode_of_ent(c, args.s, args.t)
         fn = exact_min_distance_parity if args.method == "parity" \
             else exact_min_distance_enum
-        res = fn(code, budget=args.budget)
+        try:
+            res = fn(code, budget=args.budget)
+        except BudgetExceeded as exc:
+            _emit(args, {"n": code.n, "k": code.k, "d": None,
+                         "lower": exc.lower, "upper": exc.upper})
+            raise
         _emit(args, {"n": code.n, "k": code.k, "d": res.exact,
                      "method": res.method,
                      "witness": "".join(str(v) for v in res.witness)

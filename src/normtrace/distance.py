@@ -1,16 +1,23 @@
 """Minimum-distance machinery: the order bound and two exact algorithms.
 
 The order bound is computed from weight-shifted footprint counting.  The two
-exact algorithms, full codeword enumeration and smallest-dependent-set search
-on parity-check columns, are mutually independent and serve as ground truth
-at desk scale.  Both take explicit work budgets; exceeding a budget raises,
-it never silently truncates.
+exact algorithms are mutually independent:
+
+* information-set enumeration (Brouwer-Zimmermann), which visits codewords
+  by their weight on disjoint information sets and stops when a lower bound
+  on the words not yet visited reaches the lightest word seen, and
+* smallest-dependent-set search on parity-check columns.
+
+Both take explicit work budgets; exceeding a budget raises, it never
+silently truncates, and the error carries the distance bracket reached.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import lru_cache
+from itertools import repeat
 from math import comb
 
 from .curves import CurveSpec
@@ -22,21 +29,21 @@ DEFAULT_BUDGET = 1 << 26
 
 
 class BudgetExceeded(RuntimeError):
-    """The configured work budget would be exceeded before completion.
+    """The configured work budget ran out before the distance was found.
 
-    `needed` is the work the next step would take, `spent` the work done
-    before it and `budget` the limit, all in the engine's units.  `level` is
-    the subset size w the parity search was about to start, None for
-    enumeration.
+    `spent` is the work done and `budget` the limit, in the engine's units:
+    codewords visited for enumeration, column subsets visited for the
+    parity search.  The distance lies in [lower, upper]; `upper` is the
+    weight of the lightest codeword seen, None when there is none.
     """
 
-    def __init__(self, message: str, *, needed: int, spent: int,
-                 budget: int, level: int | None = None):
+    def __init__(self, message: str, *, spent: int, budget: int,
+                 lower: int, upper: int | None):
         super().__init__(message)
-        self.needed = needed
         self.spent = spent
         self.budget = budget
-        self.level = level
+        self.lower = lower
+        self.upper = upper
 
 
 @dataclass(frozen=True)
@@ -47,22 +54,11 @@ class DistanceResult:
     witness: tuple | None  # a minimum-weight codeword, when exact
 
 
-def geil_bound(curve: CurveSpec, s: int, variant: str = "footprint") -> int:
-    """Order-bound lower bound on the minimum distance of NT_u(s).
-
-    For each footprint monomial P of weight at most s, count the footprint
-    monomials K whose weight exceeds P's by another footprint weight; the
-    bound is the minimum of those counts.  The count depends on P only
-    through its weight, so it is taken once per weight from a multiset of
-    monomial weights.  `variant` selects the monomial box: "footprint" uses
-    j < q^{r-1} (the true footprint), "paper" uses j <= q^{r-1}.
-
-    Only "footprint" is a lower bound.  "paper" is not sound: it gives 4 for
-    NT_5(60) and NT_5(62) over F_16, whose distance is 3.  It is reported
-    only to explain the published values in `paper_claim_delta`.
-    """
-    if s < 0:
-        raise ValueError("s must be nonnegative")
+@lru_cache(maxsize=None)
+def _order_bound_counts(curve: CurveSpec, variant: str) -> tuple:
+    """(w(P), count) for each weight of a monomial P in the box, with count
+    the number of monomials K whose weight exceeds w(P) by another monomial
+    weight, counted from the multiset of monomial weights."""
     if variant == "footprint":
         delta = footprint(curve)
     elif variant == "paper":
@@ -70,81 +66,318 @@ def geil_bound(curve: CurveSpec, s: int, variant: str = "footprint") -> int:
     else:
         raise ValueError(f"unknown variant {variant!r}")
     counts = Counter(weight(curve, m) for m in delta)
-    best = None
-    for wp in counts:
-        if wp > s:
-            continue
-        count = sum(c for wk, c in counts.items() if wk - wp in counts)
-        if best is None or count < best:
-            best = count
-    if best is None:
+    return tuple((wp, sum(c for wk, c in counts.items() if wk - wp in counts))
+                 for wp in counts)
+
+
+def geil_bound(curve: CurveSpec, s: int, variant: str = "footprint") -> int:
+    """Order-bound lower bound on the minimum distance of NT_u(s).
+
+    For each footprint monomial P of weight at most s, count the footprint
+    monomials K whose weight exceeds P's by another footprint weight; the
+    bound is the minimum of those counts.  The count depends on P only
+    through its weight, so the counts are taken once per curve and weight.
+    `variant` selects the monomial box: "footprint" uses j < q^{r-1} (the
+    true footprint), "paper" uses j <= q^{r-1}.
+
+    Only "footprint" is a lower bound.  "paper" is not sound: it gives 4 for
+    NT_5(60) and NT_5(62) over F_16, whose distance is 3.  It is reported
+    only to explain the published values in `paper_claim_delta`.
+    """
+    if s < 0:
+        raise ValueError("s must be nonnegative")
+    counts = [c for wp, c in _order_bound_counts(curve, variant) if wp <= s]
+    if not counts:
         raise ValueError(f"no monomials of weight <= {s}")
-    return best
+    return min(counts)
 
 
-def _enum_binary(code: LinearCode):
-    """Gray-code enumeration of all nonzero binary codewords."""
+# -- information-set enumeration --
+
+
+def _information_sets(code: LinearCode) -> list:
+    """Generator matrices of the code in systematic form on disjoint
+    information sets, taken greedily.
+
+    Each is the reduced echelon form of the generators with the columns no
+    earlier set took placed first, put back in the original column order.
+    The greedy pass stops at the first leftover block of rank below k; its
+    columns take part in no set.
+    """
     n, k = code.n, code.k
-    rows = [sum(v << i for i, v in enumerate(r)) for r in code.generators]
-    word = rows[0]  # the Gray code of 1
-    best = (word.bit_count(), 1, word)  # (weight, message_int, word_int)
-    for c in range(2, 1 << k):
-        word ^= rows[(c & -c).bit_length() - 1]
-        w = word.bit_count()
-        if w < best[0] or (w == best[0] and (c ^ (c >> 1)) < best[1]):
-            best = (w, c ^ (c >> 1), word)
-    w, _, word = best
-    witness = tuple((word >> i) & 1 for i in range(n))
-    return w, witness
+    forms = []
+    unused = list(range(n))
+    while len(unused) >= k:
+        taken = set(unused)
+        order = unused + [c for c in range(n) if c not in taken]
+        basis, pivots = rref([[row[c] for c in order]
+                              for row in code.generators], code.field)
+        if pivots[-1] >= len(unused):
+            break
+        position = sorted(range(n), key=order.__getitem__)
+        forms.append([[row[i] for i in position] for row in basis])
+        taken = {order[i] for i in pivots}
+        unused = [c for c in unused if c not in taken]
+    return forms
 
 
-def _enum_generic(code: LinearCode):
-    fld = code.field
-    q = fld.order
-    k = code.k
-    best = None  # (weight, message_index, word)
-    for idx in range(1, q**k):
-        msg = []
-        v = idx
-        for _ in range(k):
-            msg.append(v % q)
-            v //= q
-        word = code.codeword(msg)
-        w = sum(1 for x in word if x)
-        cand = (w, idx, word)
-        if best is None or cand < best:
-            best = cand
-    return best[0], best[2]
+class _BitWords:
+    """Words over F_2 as ints, bit i for coordinate i; adding is XOR."""
+
+    span = None  # additions a word takes before it must be reduced
+
+    def __init__(self, fld, n: int):
+        self.n = n
+
+    def pack(self, row) -> int:
+        return sum(1 << i for i, v in enumerate(row) if v)
+
+    @staticmethod
+    def multiples(v: int) -> list:
+        return [v]
+
+    add = staticmethod(int.__xor__)
+
+    @staticmethod
+    def weights(s: int, words):
+        return map(int.bit_count, map(s.__xor__, words))
+
+    def unpack(self, v: int) -> tuple:
+        return tuple(v >> i & 1 for i in range(self.n))
+
+
+class _LaneWords:
+    """Words over F_{2^e}, e <= 8, in byte lanes (linalg.LaneRows); adding
+    is XOR and the weight is the count of nonzero bytes."""
+
+    span = None
+
+    def __init__(self, fld, n: int):
+        self.n = n
+        self.q = fld.order
+        self.lanes = LaneRows(fld, n)
+        self.pack = self.lanes.pack
+
+    def multiples(self, v: int) -> list:
+        times = self.lanes.multiples(v)
+        return [times[c] for c in range(1, self.q)]
+
+    add = staticmethod(int.__xor__)
+
+    def weights(self, s: int, words):
+        n = self.n
+        return map(n.__sub__, map(bytes.count, map(
+            int.to_bytes, map(s.__xor__, words), repeat(n), repeat("little")),
+            repeat(0)))
+
+    def unpack(self, v: int) -> tuple:
+        return tuple(v.to_bytes(self.n, "little"))
+
+
+class _PrimeWords:
+    """Words over a prime field F_p with 2(p - 1) <= 255, one byte lane per
+    coordinate.  Adding is integer addition and leaves each lane congruent
+    to the entry mod p; a lane holds at most 255, so a word is reduced
+    (every lane taken mod p) before an addition could overflow it.  The
+    weight counts the lanes not divisible by p."""
+
+    def __init__(self, fld, n: int):
+        p = fld.p
+        self.n = n
+        # times[c] maps each byte b to c * b mod p; times[1] reduces.
+        self.times = [bytes(c * b % p for b in range(256)) for c in range(p)]
+        self.mod = self.times[1]
+        # A reduced word takes this many additions of reduced multiples.
+        self.span = 255 // (p - 1) - 1
+
+    def pack(self, row) -> int:
+        return int.from_bytes(bytes(row), "little")
+
+    def multiples(self, v: int) -> list:
+        row = v.to_bytes(self.n, "little")
+        return [int.from_bytes(row.translate(times), "little")
+                for times in self.times[1:]]
+
+    add = staticmethod(int.__add__)
+
+    def reduce(self, v: int) -> int:
+        return int.from_bytes(v.to_bytes(self.n, "little").translate(
+            self.mod), "little")
+
+    def weights(self, s: int, words):
+        n = self.n
+        return map(n.__sub__, map(bytes.count, map(bytes.translate, map(
+            int.to_bytes, map(s.__add__, words), repeat(n), repeat("little")),
+            repeat(self.mod)), repeat(0)))
+
+    def unpack(self, v: int) -> tuple:
+        return tuple(v.to_bytes(self.n, "little").translate(self.mod))
+
+
+class _TableWords:
+    """Words as lists, added through the field's row operations."""
+
+    span = None
+
+    def __init__(self, fld, n: int):
+        self.fld = fld
+        self.minus_one = fld.neg(1)
+        self.n = n
+        self.pack = list
+
+    def multiples(self, v: list) -> list:
+        return [self.fld.scale_row(c, v) for c in range(1, self.fld.order)]
+
+    def add(self, a: list, b: list) -> list:
+        return self.fld.sub_scaled_row(a, self.minus_one, b)
+
+    def weights(self, s: list, words):
+        n = self.n
+        return (n - self.add(s, t).count(0) for t in words)
+
+    unpack = tuple
+
+
+def _words(fld, n: int):
+    if fld.order == 2:
+        return _BitWords(fld, n)
+    if has_lanes(fld):
+        return _LaneWords(fld, n)
+    if fld.e == 1 and 2 * (fld.p - 1) <= 255:
+        return _PrimeWords(fld, n)
+    return _TableWords(fld, n)
+
+
+class _Enumeration:
+    """One information-set enumeration: the systematic forms as packed
+    words, the lightest word seen (the upper bound), the lower bound on
+    every word not yet visited, and the codewords visited so far."""
+
+    def __init__(self, code: LinearCode, budget: int):
+        self.words = words = _words(code.field, code.n)
+        self.forms = [[words.pack(row) for row in form]
+                      for form in _information_sets(code)]
+        self.k = code.k
+        self.step = code.field.order - 1  # nonzero multiples of a row
+        self.zero = words.pack(bytes(code.n))
+        # A nonzero word is nonzero on every information set.
+        self.lower = len(self.forms)
+        self.upper = code.n + 1  # no word seen
+        self.lightest = None
+        self.spent = 0
+        self.budget = budget
+        self.w = 0
+
+    def run(self) -> None:
+        """Raise the bounds round by round until they meet, or until the
+        first form has been visited in every message weight.
+
+        Each form visited in a round raises the lower bound by one.  Once a
+        round over every form would visit at least as many words as all the
+        rounds left in the first form, only the first form goes on, and its
+        last round proves the lightest word seen.
+        """
+        count = [comb(self.k, w) * self.step ** (w - 1)
+                 for w in range(self.k + 1)]
+        forms = [[rows, None] for rows in self.forms]
+        for self.w in range(1, self.k + 1):
+            if len(forms) * count[self.w] >= sum(count[self.w:]):
+                del forms[1:]
+            for form in forms:
+                if self.visit(form):
+                    return
+                self.lower += 1
+                if self.upper <= self.lower or self.w == self.k:
+                    return
+
+    def visit(self, form: list) -> bool:
+        """Visit every word of message weight w in one systematic form.
+
+        `form` holds the rows and, from round 2 on, the nonzero multiples
+        of row i at i * (q - 1) onward.  The first nonzero coefficient is
+        1: the other multiples of a word have its weight.  Each step of the
+        depth-first walk over the message supports adds one multiple of a
+        row.  Returns True once the lightest word seen is no heavier than
+        the lower bound.
+        """
+        words, w, k, step = self.words, self.w, self.k, self.step
+        add, span = words.add, words.span
+        rows, flat = form
+        if flat is None and w > 1:
+            form[1] = flat = [t for v in rows for t in words.multiples(v)]
+
+        def walk(s, start, depth, fresh):
+            if fresh == span:
+                s, fresh = words.reduce(s), 0
+            if depth == w - 1:
+                return self._leaves(s, flat[start * step:] if depth
+                                    else rows[start:])
+            for i in range(start, k - (w - 1 - depth)):
+                for t in flat[i * step:(i + 1) * step] if depth \
+                        else rows[i:i + 1]:
+                    if walk(add(s, t), i + 1, depth + 1, fresh + 1):
+                        return True
+            return False
+
+        return walk(self.zero, 0, 0, 0)
+
+    def _leaves(self, s, tail: list) -> bool:
+        """Visit the words s + t for t in tail, which is never empty."""
+        if self.spent + len(tail) > self.budget:
+            upper = self.upper if self.lightest is not None else None
+            raise BudgetExceeded(
+                f"enumeration stopped in round w={self.w} after "
+                f"{self.spent} of {self.budget} codewords: d in "
+                f"[{self.lower}, {'?' if upper is None else upper}]",
+                spent=self.spent, budget=self.budget, lower=self.lower,
+                upper=upper)
+        self.spent += len(tail)
+        words = self.words
+        least = min(words.weights(s, tail))
+        if least < self.upper:
+            i = list(words.weights(s, tail)).index(least)
+            self.upper, self.lightest = least, words.add(s, tail[i])
+        return self.upper <= self.lower
 
 
 def exact_min_distance_enum(code: LinearCode,
                             budget: int = DEFAULT_BUDGET) -> DistanceResult:
-    """Exact minimum distance by enumerating all nonzero codewords.
+    """Exact minimum distance by information-set enumeration.
 
-    Ties between minimum-weight words are broken by the smallest message
-    index.
+    This is Zimmermann's algorithm (Brouwer-Zimmermann; see Grassl,
+    "Searching for linear codes with large minimum distance", 2006).  The
+    generators are put in systematic form on m disjoint information sets
+    (see _information_sets).  A codeword's message in a form is its
+    restriction to that form's set, so a word of message weight at least w
+    in every form has weight at least m * w.  Round w = 1, 2, ... visits the
+    words of message weight w in each form in turn; after form j of round
+    w, every word not yet visited has weight at least (w + 1) j + w (m - j).
+    The search stops when that bound reaches the lightest word seen, which
+    is the witness, or when the first form has been visited in every
+    message weight; once a round over all forms would cost as much as
+    finishing the first form, only the first form goes on.  The order bound
+    is not used, so the two stay independent.  The budget counts codewords
+    visited; the witness is the first lightest word the walk meets.
     """
     if code.k == 0:
         raise ValueError("the zero code has no minimum distance")
-    needed = code.field.order**code.k - 1
-    if needed > budget:
-        raise BudgetExceeded(
-            f"{code.field.order}^{code.k} codewords exceed budget {budget}",
-            needed=needed, spent=0, budget=budget)
-    if code.field.order == 2:
-        d, witness = _enum_binary(code)
-    else:
-        d, witness = _enum_generic(code)
-    return DistanceResult(lower_bound=None, exact=d,
-                          method="enumeration", witness=tuple(witness))
+    search = _Enumeration(code, budget)
+    search.run()
+    return DistanceResult(lower_bound=None, exact=search.upper,
+                          method="enumeration",
+                          witness=search.words.unpack(search.lightest))
+
+
+# -- parity-column search --
 
 
 def _columns(rows, n):
     return [tuple(r[c] for r in rows) for c in range(n)]
 
 
-def _first_dependent_set(cols, w, fld):
-    """The lexicographically first w-subset of dependent columns, or None.
+def _first_dependent_set(cols, w, fld, spent, budget):
+    """The lexicographically first w-subset of dependent columns, or None,
+    and the column subsets visited so far, earlier levels' `spent` included.
 
     Depth-first over the subsets in lexicographic order.  A node holds every
     later column reduced against the echelon basis of its prefix, so the
@@ -153,31 +386,31 @@ def _first_dependent_set(cols, w, fld):
     column.  A leaf is dependent when its column reduces to zero.  The
     caller has found no dependent set smaller than w, so a prefix column
     that reduces to zero is an internal error.
+
+    Every node visited, prefix or leaf, counts one against the budget; the
+    search raises BudgetExceeded once the budget is used up.
     """
     if fld.order == 2:
         # Columns are ints; the pivot is the lowest set bit, reduction XOR.
         cols = [sum(v << i for i, v in enumerate(c)) for c in cols]
+        zero = 0
 
         def eliminate(v, rest):
             bit = v & -v
             return [u ^ v if u & bit else u for u in rest]
-
-        def is_zero(u):
-            return not u
     elif has_lanes(fld):
         # Columns in byte lanes; the pivot is the lowest nonzero lane.
         lanes = LaneRows(fld, len(cols[0]))
         cols = [lanes.pack(c) for c in cols]
+        zero = 0
 
         def eliminate(v, rest):
             col = lanes.lead(v)
             times, shift = lanes.pivot_multiples(v, col), col << 3
             return [u ^ times[u >> shift & 255] for u in rest]
-
-        def is_zero(u):
-            return not u
     else:
         cols = [list(c) for c in cols]
+        zero = [0] * len(cols[0])
 
         def eliminate(v, rest):
             p = next(i for i, x in enumerate(v) if x)
@@ -186,17 +419,33 @@ def _first_dependent_set(cols, w, fld):
             return [fld.sub_scaled_row(u, u[p], v) if u[p] else u
                     for u in rest]
 
-        def is_zero(u):
-            return not any(u)
+    def exceeded():
+        return BudgetExceeded(
+            f"parity search stopped at level w={w} after {spent} of "
+            f"{budget} column subsets: d in [{w}, ?]",
+            spent=spent, budget=budget, lower=w, upper=None)
 
     def search(start, reduced, depth):
         # reduced[i] is column start + i reduced against the prefix.
+        nonlocal spent
         if depth == w - 1:
-            return next(((start + i,) for i, u in enumerate(reduced)
-                         if is_zero(u)), None)
+            room = budget - spent
+            try:
+                i = reduced.index(zero, 0, room)
+            except ValueError:
+                if len(reduced) > room:
+                    spent = budget
+                    raise exceeded() from None
+                spent += len(reduced)
+                return None
+            spent += i + 1
+            return (start + i,)
         for i in range(len(reduced) - (w - 1 - depth)):
+            if spent == budget:
+                raise exceeded()
+            spent += 1
             v = reduced[i]
-            if is_zero(v):
+            if v == zero:
                 raise AssertionError(
                     f"a set of {depth + 1} columns is dependent at level {w}")
             found = search(start + i + 1, eliminate(v, reduced[i + 1:]),
@@ -205,14 +454,14 @@ def _first_dependent_set(cols, w, fld):
                 return (start + i,) + found
         return None
 
-    return search(0, cols, 0)
+    return search(0, cols, 0), spent
 
 
 def _dependence_witness(cols, idxs, n, fld):
     """A codeword supported on the dependent columns (nullspace vector)."""
     sub_rows = [list(r) for r in zip(*[cols[i] for i in idxs])]
     basis, _ = rref(sub_rows, fld)
-    sub = LinearCode(fld, len(idxs), tuple(tuple(r) for r in basis))
+    sub = LinearCode(fld, len(idxs), basis)
     coeffs = kernel(sub).generators[0]
     word = [0] * n
     for i, c in zip(idxs, coeffs):
@@ -225,9 +474,8 @@ def exact_min_distance_parity(code: LinearCode,
     """Exact minimum distance as the smallest dependent parity-column set.
 
     Level w searches the w-subsets of columns in lexicographic order and
-    returns the first dependent one.  Work is metered as sum over levels w
-    of C(n, w) * w (one rank test per column subset); the budget is checked
-    before each level starts.
+    returns the first dependent one.  The budget counts the column subsets
+    visited over all levels, prefixes included (see _first_dependent_set).
     """
     if code.k == 0:
         raise ValueError("the zero code has no minimum distance")
@@ -242,13 +490,7 @@ def exact_min_distance_parity(code: LinearCode,
     cols = _columns(hrows, n)
     spent = 0
     for w in range(1, n + 1):
-        level = comb(n, w) * w
-        if spent + level > budget:
-            raise BudgetExceeded(
-                f"level w={w} needs {level} units, {budget - spent} left",
-                needed=level, spent=spent, budget=budget, level=w)
-        spent += level
-        found = _first_dependent_set(cols, w, fld)
+        found, spent = _first_dependent_set(cols, w, fld, spent, budget)
         if found is not None:
             witness = _dependence_witness(cols, found, n, fld)
             assert code.contains(witness)

@@ -3,7 +3,8 @@
 Matrices are lists of rows; entries are integer-encoded field elements.
 Codes are always stored with their generator matrix in reduced row-echelon
 form, so two codes are equal as sets exactly when their stored matrices are
-equal.
+equal.  A code's rows are `bytes` over fields of order at most 256 and
+tuples otherwise (see row_type).
 """
 
 from __future__ import annotations
@@ -71,6 +72,13 @@ class _Multiples(dict):
                 w ^= image
         self[c] = w
         return w
+
+
+def row_type(fld: FiniteField) -> type:
+    """How finished rows over fld are stored: `bytes` when every entry fits
+    a byte (order at most 256), else `tuple`.  A bytes row takes one byte
+    per entry, a tuple eight plus the ints it points to."""
+    return bytes if fld.order <= 256 else tuple
 
 
 def has_lanes(fld: FiniteField) -> bool:
@@ -158,11 +166,19 @@ def rank(rows, fld: FiniteField) -> int:
 
 @dataclass(frozen=True)
 class LinearCode:
-    """A linear code given by its generator matrix in canonical RREF."""
+    """A linear code given by its generator matrix in canonical RREF.
+
+    The rows are stored as row_type(field) gives, whatever sequences they
+    were given as.
+    """
 
     field: FiniteField
     n: int
-    generators: tuple  # tuple of row tuples, reduced row-echelon form
+    generators: tuple  # rows in reduced row-echelon form
+
+    def __post_init__(self):
+        object.__setattr__(self, "generators",
+                           tuple(map(row_type(self.field), self.generators)))
 
     @property
     def k(self) -> int:
@@ -194,8 +210,7 @@ def row_space_basis(rows, fld: FiniteField, n: int | None = None) -> LinearCode:
         raise ValueError("code length must be positive")
     if any(len(r) != n for r in rows):
         raise ValueError("rows have mismatched lengths")
-    basis, _ = rref(rows, fld)
-    return LinearCode(fld, n, tuple(tuple(r) for r in basis))
+    return LinearCode(fld, n, rref(rows, fld)[0])
 
 
 def kernel(code: LinearCode) -> LinearCode:

@@ -20,7 +20,7 @@ from .curves import CurveSpec
 from .fields import FieldError, SubfieldEmbedding, embedding, make_field, \
     subfield_of_order
 from .linalg import LaneRows, LinearCode, has_lanes, rank, \
-    row_space_basis, rref
+    row_space_basis, row_type, rref
 from .monomials import footprint, monomials_up_to
 from .reduction import monomial_normal_form
 
@@ -119,20 +119,17 @@ def subfield_subcode_oracle(code: LinearCode,
         # Trivial extension: the code already lives over the small field.
         return row_space_basis(code.generators, small, code.n)
     # The embedding's table shares one coordinate tuple per field element.
-    # Entries of a small field of order <= 256 fit a byte, and a bytes row
-    # takes an eighth of the memory of a list.
     table = emb.coordinates
-    row_type = bytes if small.order <= 256 else list
+    pack = row_type(small)
     expanded = []
     for row in _spanning_rows_over_subfield(code, emb):
         comps = [table[v] for v in row]
-        expanded.append(row_type([c for cs in comps for c in cs[1:]] +
-                                 [cs[0] for cs in comps]))
+        expanded.append(pack([c for cs in comps for c in cs[1:]] +
+                             [cs[0] for cs in comps]))
     width = code.n * (m - 1)
     reduced, pivots = rref(expanded, small)
-    return LinearCode(small, code.n, tuple(
-        tuple(row[width:]) for row, col in zip(reduced, pivots)
-        if col >= width))
+    return LinearCode(small, code.n, [
+        row[width:] for row, col in zip(reduced, pivots) if col >= width])
 
 
 def trace_code(code: LinearCode, emb: SubfieldEmbedding) -> LinearCode:

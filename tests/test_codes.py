@@ -20,7 +20,7 @@ def test_affine_variety_code_examples():
     one = monomial_poly(F4, (0, 0))
     x = monomial_poly(F4, (1, 0))
     rep = affine_variety_code(pts, [one], F4)
-    assert rep.k == 1 and rep.generators == ((1, 1, 1, 1),)
+    assert rep.k == 1 and list(map(tuple, rep.generators)) == [(1, 1, 1, 1)]
     zero = affine_variety_code(pts, [SparsePolynomial(F4, ())], F4)
     assert zero.k == 0
     rs = affine_variety_code(pts, [one, x], F4)

@@ -5,7 +5,8 @@ from itertools import combinations
 import pytest
 
 from normtrace.curves import make_curve
-from normtrace.distance import (BudgetExceeded, exact_min_distance_enum,
+from normtrace.distance import (BudgetExceeded, _information_sets,
+                                _PrimeWords, exact_min_distance_enum,
                                 exact_min_distance_parity, geil_bound,
                                 is_even_weight)
 from normtrace.fields import FieldError, make_field
@@ -91,41 +92,190 @@ def test_even_weight_codes():
         is_even_weight(row_space_basis([[1, 1]], F4, 2))
 
 
+def exhaustive_enum_binary(code):
+    """Gray-code enumeration of all nonzero binary codewords: (d, witness),
+    the witness of least message index."""
+    n, k = code.n, code.k
+    rows = [sum(v << i for i, v in enumerate(r)) for r in code.generators]
+    word = rows[0]  # the Gray code of 1
+    best = (word.bit_count(), 1, word)  # (weight, message_int, word_int)
+    for c in range(2, 1 << k):
+        word ^= rows[(c & -c).bit_length() - 1]
+        w = word.bit_count()
+        if w < best[0] or (w == best[0] and (c ^ (c >> 1)) < best[1]):
+            best = (w, c ^ (c >> 1), word)
+    w, _, word = best
+    return w, tuple((word >> i) & 1 for i in range(n))
+
+
+def exhaustive_enum_generic(code):
+    """Every nonzero codeword encoded from its message: (d, witness)."""
+    q, k = code.field.order, code.k
+    best = None  # (weight, message_index, word)
+    for idx in range(1, q**k):
+        msg = []
+        v = idx
+        for _ in range(k):
+            msg.append(v % q)
+            v //= q
+        word = code.codeword(msg)
+        cand = (sum(1 for x in word if x), idx, word)
+        if best is None or cand < best:
+            best = cand
+    return best[0], best[2]
+
+
+def exhaustive_distance(code):
+    """The exhaustive reference that information-set enumeration replaced."""
+    if code.field.order == 2:
+        return exhaustive_enum_binary(code)[0]
+    return exhaustive_enum_generic(code)[0]
+
+
+def distance_test_codes(rng, fld):
+    """Random codes of length at most 14, and the shapes that exercise the
+    information sets: k = 1, k = n, a zero column, repeated columns, and a
+    leftover column block of rank below k."""
+    q = fld.order
+    kmax = max(k for k in range(1, 6) if q**k <= 4096)
+    for _ in range(6):
+        n = rng.randrange(2, 15)
+        yield random_code(rng, fld, n, rng.randrange(1, min(n, kmax) + 1))
+    yield random_code(rng, fld, 9, 1)
+    yield row_space_basis([[rng.randrange(1, q) if i == j else 0
+                            for j in range(4)] for i in range(4)], fld, 4)
+    yield random_code(rng, fld, 3, 3)
+    # Rank 3 on columns 0-2 and on columns 3-5.
+    base = [[int(i == j) for j in range(3)] +
+            [rng.randrange(1, q) if j == (i + 1) % 3 else 0
+             for j in range(3)] +
+            [rng.randrange(q)] for i in range(3)]
+    yield row_space_basis([row[:3] + [0] + row[3:] for row in base], fld, 8)
+    yield row_space_basis([row + row[:3] for row in base], fld, 10)
+    # Columns 0-5 hold two information sets and columns 6-10 are multiples
+    # of column 0: the leftover block has more than k columns but rank 1.
+    c = rng.randrange(1, q)
+    yield row_space_basis([row[:6] + [fld.mul(c, row[0])] * 5
+                           for row in base], fld, 11)
+
+
 def test_oracles_agree_on_random_codes():
     rng = random.Random(79)
-    for fld in (F2, F4, F16):
-        for _ in range(6):
-            n = rng.randrange(6, 13)
-            k = rng.randrange(2, 5)
-            c = random_code(rng, fld, n, k)
+    for p, e in [(2, 1), (3, 1), (2, 2), (5, 1), (3, 2), (2, 4)]:
+        fld = make_field(p, e)
+        for c in distance_test_codes(rng, fld):
             if c.k == 0:
                 continue
-            d1 = exact_min_distance_enum(c).exact
-            d2 = exact_min_distance_parity(c).exact
-            assert d1 == d2
-            # brute-force check of the witness
             res = exact_min_distance_enum(c)
-            assert sum(1 for v in res.witness if v) == d1
+            d = exhaustive_distance(c)
+            assert res.exact == d == exact_min_distance_parity(c).exact
+            assert sum(1 for v in res.witness if v) == d
             assert c.contains(res.witness)
+
+
+def test_enum_prime_lanes_reduce_before_overflow():
+    # Over F_127 a byte lane holds two reduced entries, so a word of
+    # message weight 3 is reduced on the way.  The Reed-Solomon code
+    # [7,4,4] has one information set and needs round 3 to prove d = 4.
+    fld = make_field(127, 1)
+    code = row_space_basis([[pow(x, j, 127) for x in range(1, 8)]
+                            for j in range(4)], fld, 7)
+    res = exact_min_distance_enum(code)
+    assert res.exact == exact_min_distance_parity(code).exact == 4
+    assert sum(1 for v in res.witness if v) == 4
+    assert code.contains(res.witness)
+
+
+def test_prime_lanes_span_is_tight():
+    # A reduced word (lanes < p) takes `span` additions of reduced
+    # multiples before a lane could pass 255, and not one more.
+    for p in (3, 5, 67, 127):
+        span = _PrimeWords(make_field(p, 1), 4).span
+        assert (p - 1) * (span + 1) <= 255 < (p - 1) * (span + 2)
+
+
+def test_enum_leftover_block_takes_no_information_set():
+    rng = random.Random(83)
+    for fld in (F2, make_field(3, 1), F4):
+        code = list(distance_test_codes(rng, fld))[-1]
+        assert (code.n, code.k) == (11, 3)
+        forms = _information_sets(code)
+        assert len(forms) == 2
+        for form in forms:
+            # the code, in systematic form on three of the columns 0-5
+            assert row_space_basis(form, fld, 11) == code
+            cols = [tuple(row[j] for row in form) for j in range(6)]
+            assert {(1, 0, 0), (0, 1, 0), (0, 0, 1)} <= set(cols)
+
+
+def test_enum_ladder_distances():
+    # d = 64 and 126 by information-set enumeration; the 3^10 words of the
+    # second took about a minute to enumerate one by one.
+    for params, s, t, expect in [((2, 1, 6, 3), 64, 2, (128, 3, 64)),
+                                 ((3, 1, 3, 13), 121, 3, (243, 10, 126))]:
+        code = subfield_subcode_of_ent(make_curve(*params), s, t)
+        res = exact_min_distance_enum(code)
+        assert (code.n, code.k, res.exact) == expect
+        assert sum(1 for v in res.witness if v) == res.exact
+        assert code.contains(res.witness)
 
 
 def test_budget_errors():
     rng = random.Random(89)
     c = random_code(rng, F16, 10, 4)
+    assert exact_min_distance_enum(c).exact == 5
     with pytest.raises(BudgetExceeded) as info:
-        exact_min_distance_enum(c, budget=100)
+        exact_min_distance_enum(c, budget=50)
+    # Round 1 visits 4 words in each of 2 forms (lower bound 2 + 2 = 4);
+    # round 2's first batch of 45 words does not fit in the 42 left.
     exc = info.value
-    assert str(exc) == "16^4 codewords exceed budget 100"
-    assert (exc.needed, exc.spent, exc.budget, exc.level) == \
-        (16**4 - 1, 0, 100, None)
+    assert str(exc) == "enumeration stopped in round w=2 after 8 of 50 " \
+        "codewords: d in [4, 6]"
+    assert (exc.spent, exc.budget, exc.lower, exc.upper) == (8, 50, 4, 6)
+    # The whole search visits 98 words: 8, then 45 + 30 + 15 in round 2.
+    assert exact_min_distance_enum(c, budget=98).exact == 5
+    with pytest.raises(BudgetExceeded) as info:
+        exact_min_distance_enum(c, budget=97)
+    assert (info.value.spent, info.value.lower, info.value.upper) == \
+        (83, 4, 5)
     rep = row_space_basis([[1] * 20], F2, 20)
     with pytest.raises(BudgetExceeded) as info:
         exact_min_distance_parity(rep, budget=1000)
-    # levels 1 and 2 cost 20 + 190 * 2 units; level 3 needs 1140 * 3
+    # level 1 visits 20 subsets, level 2 19 prefixes and 190 pairs; level 3
+    # runs out of the 771 left
     exc = info.value
-    assert str(exc) == "level w=3 needs 3420 units, 600 left"
-    assert (exc.needed, exc.spent, exc.budget, exc.level) == \
-        (3420, 400, 1000, 3)
+    assert str(exc) == "parity search stopped at level w=3 after 1000 of " \
+        "1000 column subsets: d in [3, ?]"
+    assert (exc.spent, exc.budget, exc.lower, exc.upper) == \
+        (1000, 1000, 3, None)
+    # [6,1,6]: levels 1-5 visit 114 subsets, level 6 five prefixes and one
+    # leaf; a budget that ends with a level lets the search reach the next.
+    rep = row_space_basis([[1] * 6], F2, 6)
+    assert exact_min_distance_parity(rep, budget=120).exact == 6
+    for budget, lower in [(119, 6), (114, 6), (113, 5)]:
+        with pytest.raises(BudgetExceeded) as info:
+            exact_min_distance_parity(rep, budget=budget)
+        assert (info.value.spent, info.value.lower) == (budget, lower)
+
+
+def test_budgets_raise_never_truncate():
+    # At every budget an engine either finds d or raises with d inside the
+    # bracket it reports.
+    rng = random.Random(101)
+    for fld in (F2, make_field(3, 1), F4):
+        code = random_code(rng, fld, 9, 3)
+        d = exhaustive_distance(code)
+        for engine in (exact_min_distance_enum, exact_min_distance_parity):
+            outcomes = set()
+            for budget in range(0, 3000, 11):
+                try:
+                    outcomes.add(engine(code, budget=budget).exact)
+                except BudgetExceeded as exc:
+                    assert exc.spent <= exc.budget == budget
+                    assert exc.lower <= d
+                    assert exc.upper is None or d <= exc.upper
+                    outcomes.add("raised")
+            assert outcomes == {d, "raised"}, (fld, engine)
 
 
 def first_dependent_set_bruteforce(code):

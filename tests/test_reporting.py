@@ -139,6 +139,19 @@ def test_cli_budget_exit(capsys):
                "--s", "0", "--t", "2", "--method", "parity",
                "--budget", "10"])
     assert rc == 3
+    out, err = capsys.readouterr()
+    assert out == "n: 32\nk: 1\nd: None\nlower: 1\nupper: None\n"
+    assert err.startswith("budget exceeded: parity search stopped at level "
+                          "w=1 after 10 of 10 column subsets")
+    # [32,25,4]: round 1 and 69 words of round 2 fit in 100
+    rc = main(["mindist", "--p", "2", "--l", "1", "--r", "4", "--u", "3",
+               "--s", "36", "--t", "2", "--method", "enum",
+               "--budget", "100", "--json"])
+    assert rc == 3
+    out, err = capsys.readouterr()
+    assert json.loads(out) == {"n": 32, "k": 25, "d": None,
+                               "lower": 2, "upper": 4}
+    assert "d in [2, 4]" in err
 
 
 def test_cli_io_exit(capsys):
