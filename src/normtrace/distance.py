@@ -22,7 +22,7 @@ from math import comb
 
 from .curves import CurveSpec
 from .fields import FieldError
-from .linalg import LaneRows, LinearCode, has_lanes, kernel, rref
+from .linalg import LinearCode, kernel, lanes_for, rref
 from .monomials import footprint, footprint_paper_variant, weight
 
 DEFAULT_BUDGET = 1 << 26
@@ -152,11 +152,11 @@ class _LaneWords:
 
     span = None
 
-    def __init__(self, fld, n: int):
-        self.n = n
-        self.q = fld.order
-        self.lanes = LaneRows(fld, n)
-        self.pack = self.lanes.pack
+    def __init__(self, lanes):
+        self.n = lanes.width
+        self.q = lanes.fld.order
+        self.lanes = lanes
+        self.pack = lanes.pack
 
     def multiples(self, v: int) -> list:
         times = self.lanes.multiples(v)
@@ -174,47 +174,48 @@ class _LaneWords:
         return tuple(v.to_bytes(self.n, "little"))
 
 
-class _PrimeWords:
-    """Words over a prime field F_p with 2(p - 1) <= 255, one byte lane per
-    coordinate.  Adding is integer addition and leaves each lane congruent
-    to the entry mod p; a lane holds at most 255, so a word is reduced
-    (every lane taken mod p) before an addition could overflow it.  The
-    weight counts the lanes not divisible by p."""
+class _DigitWords:
+    """Words over an odd field of order at most 256 with p <= 127, one byte
+    lane per F_p digit (linalg.DigitLanes).  Adding is integer addition and
+    leaves each lane congruent to its digit mod p; a word is reduced (every
+    lane taken mod p) before an addition could take a lane past 255.  The
+    weight is n minus the entries whose e reduced digits are all zero."""
 
-    def __init__(self, fld, n: int):
-        p = fld.p
-        self.n = n
-        # times[c] maps each byte b to c * b mod p; times[1] reduces.
-        self.times = [bytes(c * b % p for b in range(256)) for c in range(p)]
-        self.mod = self.times[1]
+    def __init__(self, lanes):
+        self.n = lanes.width
+        self.q = lanes.fld.order
+        self.lanes = lanes
+        self.pack = lanes.pack
+        self.reduce = lanes.reduce
         # A reduced word takes this many additions of reduced multiples.
-        self.span = 255 // (p - 1) - 1
-
-    def pack(self, row) -> int:
-        return int.from_bytes(bytes(row), "little")
+        self.span = lanes.span
+        # Times the reduced lanes, lane j*e + e - 1 holds the sum of entry
+        # j's digits, at most e(p - 1) < 256.
+        self.digit_sum = int.from_bytes(b"\x01" * lanes.e, "little")
 
     def multiples(self, v: int) -> list:
-        row = v.to_bytes(self.n, "little")
-        return [int.from_bytes(row.translate(times), "little")
-                for times in self.times[1:]]
+        times, key = self.lanes.multiples(v), self.lanes.key
+        return [times[key(c)] for c in range(1, self.q)]
 
     add = staticmethod(int.__add__)
 
-    def reduce(self, v: int) -> int:
-        return int.from_bytes(v.to_bytes(self.n, "little").translate(
-            self.mod), "little")
-
     def weights(self, s: int, words):
-        n = self.n
-        return map(n.__sub__, map(bytes.count, map(bytes.translate, map(
-            int.to_bytes, map(s.__add__, words), repeat(n), repeat("little")),
-            repeat(self.mod)), repeat(0)))
+        n, lanes = self.n, self.lanes
+        if lanes.e == 1:
+            return map(n.__sub__, map(bytes.count, map(bytes.translate, map(
+                int.to_bytes, map(s.__add__, words), repeat(n),
+                repeat("little")), repeat(lanes.mod)), repeat(0)))
+        e, nbytes, mod = lanes.e, lanes.nbytes, lanes.mod
+        return (n - (int.from_bytes((s + t).to_bytes(nbytes, "little")
+                                    .translate(mod), "little") *
+                     self.digit_sum).to_bytes(nbytes + e - 1, "little")
+                [e - 1::e].count(0) for t in words)
 
     def unpack(self, v: int) -> tuple:
-        return tuple(v.to_bytes(self.n, "little").translate(self.mod))
+        return tuple(self.lanes.unpack(self.reduce(v)))
 
 
-class _TableWords:
+class _ListWords:
     """Words as lists, added through the field's row operations."""
 
     span = None
@@ -241,11 +242,10 @@ class _TableWords:
 def _words(fld, n: int):
     if fld.order == 2:
         return _BitWords(fld, n)
-    if has_lanes(fld):
-        return _LaneWords(fld, n)
-    if fld.e == 1 and 2 * (fld.p - 1) <= 255:
-        return _PrimeWords(fld, n)
-    return _TableWords(fld, n)
+    lanes = lanes_for(fld, n)
+    if lanes is None:
+        return _ListWords(fld, n)
+    return _LaneWords(lanes) if fld.p == 2 else _DigitWords(lanes)
 
 
 class _Enumeration:
@@ -398,16 +398,14 @@ def _first_dependent_set(cols, w, fld, spent, budget):
         def eliminate(v, rest):
             bit = v & -v
             return [u ^ v if u & bit else u for u in rest]
-    elif has_lanes(fld):
+    elif (lanes := lanes_for(fld, len(cols[0]))) is not None:
         # Columns in byte lanes; the pivot is the lowest nonzero lane.
-        lanes = LaneRows(fld, len(cols[0]))
         cols = [lanes.pack(c) for c in cols]
         zero = 0
 
         def eliminate(v, rest):
             col = lanes.lead(v)
-            times, shift = lanes.pivot_multiples(v, col), col << 3
-            return [u ^ times[u >> shift & 255] for u in rest]
+            return lanes.sweep(rest, lanes.pivot_multiples(v, col), col)
     else:
         cols = [list(c) for c in cols]
         zero = [0] * len(cols[0])

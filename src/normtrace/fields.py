@@ -5,9 +5,9 @@ polynomial-basis coefficient vector (a_0, ..., a_{e-1}) as sum(a_i * p^i).
 All arithmetic goes through a FiniteField instance; for orders up to 2^16
 multiplication and inversion use precomputed exp/log tables, above that they
 fall back to polynomial arithmetic modulo the field's irreducible modulus.
-In odd characteristic, row operations for the matrix kernels use full
-multiplication and subtraction tables for orders up to 256, built on first
-use; characteristic 2 rows take byte lanes in linalg instead.
+The row operations here take one `mul` and `sub` per entry; the matrix
+kernels use them only for fields whose rows do not fit the byte lanes of
+linalg (order above 256, or characteristic from 131 to 251).
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ from itertools import product
 
 MAX_FIELD_ORDER = 1 << 20
 _TABLE_LIMIT = 1 << 16
-ROW_TABLE_LIMIT = 256
 
 
 class FieldError(ValueError):
@@ -140,9 +139,8 @@ def _is_irreducible(poly, p):
 class FiniteField:
     """A concrete finite field F_{p^e} with integer-encoded elements.
 
-    Immutable after construction apart from the row tables, which are built
-    once on first use; all operations are pure, so instances are safe to
-    share across threads.  Use :func:`make_field` to get the
+    Immutable after construction; all operations are pure, so instances are
+    safe to share across threads.  Use :func:`make_field` to get the
     canonical instance for given (p, e).
     """
 
@@ -160,7 +158,6 @@ class FiniteField:
         self.modulus = self._find_modulus(p, e)
         self._exp = None
         self._log = None
-        self._tables = None
         if order <= _TABLE_LIMIT:
             self._build_tables()
 
@@ -269,34 +266,13 @@ class FiniteField:
 
     # -- row arithmetic for the matrix kernels --
 
-    def _row_tables(self):
-        """(mul, sub) with mul[a][b] = a*b and sub[a][b] = a-b, for odd
-        characteristic up to ROW_TABLE_LIMIT, else None.  Rows in
-        characteristic 2 are eliminated in byte lanes (linalg.LaneRows).
-        """
-        if self._tables is None and self.p != 2 and \
-                self.order <= ROW_TABLE_LIMIT:
-            q = self.elements()
-            self._tables = ([[self.mul(a, b) for b in q] for a in q],
-                            [[self.sub(a, b) for b in q] for a in q])
-        return self._tables
-
     def scale_row(self, c: int, row) -> list:
         """The row c * row."""
-        tables = self._row_tables()
-        if tables is None:
-            return [self.mul(c, v) for v in row]
-        mc = tables[0][c]
-        return [mc[v] for v in row]
+        return [self.mul(c, v) for v in row]
 
     def sub_scaled_row(self, row, c: int, other) -> list:
         """The row row - c * other."""
-        tables = self._row_tables()
-        if tables is None:
-            return [self.sub(v, self.mul(c, w)) for v, w in zip(row, other)]
-        mul, sub = tables
-        mc = mul[c]
-        return [sub[v][mc[w]] for v, w in zip(row, other)]
+        return [self.sub(v, self.mul(c, w)) for v, w in zip(row, other)]
 
     # -- discrete-log tables --
 

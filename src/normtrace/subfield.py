@@ -19,8 +19,8 @@ from .codes import build_code, dual_weight
 from .curves import CurveSpec
 from .fields import FieldError, SubfieldEmbedding, embedding, make_field, \
     subfield_of_order
-from .linalg import LaneRows, LinearCode, has_lanes, rank, \
-    row_space_basis, row_type, rref
+from .linalg import LinearCode, rank, row_space_basis, row_type, rref, \
+    scale_rows
 from .monomials import footprint, monomials_up_to
 from .reduction import monomial_normal_form
 
@@ -88,15 +88,9 @@ def subfield_subcode_dim(curve: CurveSpec, s: int, t: int) -> int:
 
 def _spanning_rows_over_subfield(code: LinearCode, emb: SubfieldEmbedding):
     """Rows whose F_t-span is all of C: basis rows scaled by a big/small basis,
-    yielded one at a time."""
-    fld = code.field
-    lanes = LaneRows(fld, code.n) if has_lanes(fld) else None
+    one basis element at a time."""
     for b in emb.basis:
-        for row in code.generators:
-            if lanes is not None:
-                yield lanes.unpack(lanes.multiples(lanes.pack(row))[b])
-            else:
-                yield fld.scale_row(b, row)
+        yield from scale_rows(b, code.generators, code.field, code.n)
 
 
 def subfield_subcode_oracle(code: LinearCode,

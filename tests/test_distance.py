@@ -6,11 +6,12 @@ import pytest
 
 from normtrace.curves import make_curve
 from normtrace.distance import (BudgetExceeded, _information_sets,
-                                _PrimeWords, exact_min_distance_enum,
+                                exact_min_distance_enum,
                                 exact_min_distance_parity, geil_bound,
                                 is_even_weight)
 from normtrace.fields import FieldError, make_field
-from normtrace.linalg import LinearCode, kernel, rank, row_space_basis
+from normtrace.linalg import (DigitLanes, LinearCode, kernel, rank,
+                              row_space_basis)
 from normtrace.monomials import footprint, footprint_paper_variant, weight
 from normtrace.subfield import subfield_subcode_of_ent
 
@@ -189,8 +190,8 @@ def test_enum_prime_lanes_reduce_before_overflow():
 def test_prime_lanes_span_is_tight():
     # A reduced word (lanes < p) takes `span` additions of reduced
     # multiples before a lane could pass 255, and not one more.
-    for p in (3, 5, 67, 127):
-        span = _PrimeWords(make_field(p, 1), 4).span
+    for p, e in ((3, 1), (5, 1), (67, 1), (127, 1), (3, 5), (13, 2)):
+        span = DigitLanes(make_field(p, e), 4).span
         assert (p - 1) * (span + 1) <= 255 < (p - 1) * (span + 2)
 
 

@@ -3,8 +3,9 @@ import random
 import pytest
 
 from normtrace.fields import make_field
-from normtrace.linalg import (LaneRows, LinearCode, has_lanes, kernel,
-                              matrix_product_is_zero, row_space_basis, rref)
+from normtrace.linalg import (DigitLanes, LaneRows, LinearCode, kernel,
+                              lanes_for, matrix_product_is_zero,
+                              row_space_basis, rref)
 
 F2 = make_field(2, 1)
 F4 = make_field(2, 2)
@@ -46,7 +47,8 @@ def dot(fld, a, b):
 
 def test_kernel_dimensions_and_orthogonality():
     rng = random.Random(47)
-    for fld in (F2, F4, F16):
+    for fld in (F2, F4, F16, make_field(3, 1), make_field(5, 2),
+                make_field(131, 1)):
         for _ in range(10):
             c = random_code(rng, fld, 10, 4)
             dual = kernel(c)
@@ -92,10 +94,10 @@ def reference_rref(rows, fld):
     return rows[:rank], pivots
 
 
-# Characteristic 2 takes byte lanes, odd orders up to 256 the table loop,
-# and F_729 the per-entry fallback.
+# Orders up to 256 with p <= 127 take byte lanes; F_131 and F_729 take the
+# per-entry fallback.
 KERNEL_FIELDS = [(2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2), (5, 2),
-                 (3, 3), (3, 6)]
+                 (3, 3), (3, 6), (131, 1)]
 
 
 def kernel_matrices(rng, fld):
@@ -119,23 +121,32 @@ def test_rref_matches_per_entry_reference():
     rng = random.Random(59)
     for p, e in KERNEL_FIELDS:
         fld = make_field(p, e)
+        assert (lanes_for(fld, 4) is None) == (fld.order in (131, 729))
         for rows in kernel_matrices(rng, fld):
             expect = reference_rref(rows, fld)
             assert rref(rows, fld) == expect
             assert rref([tuple(r) for r in rows], fld) == expect
 
 
-LANE_FIELDS = [make_field(2, e) for e in range(1, 9)]  # F_2 ... F_256
+# F_2 ... F_256 in LaneRows; F_3 ... F_243 in DigitLanes, with one to five
+# digits per entry and p up to 127.
+LANE_FIELDS = [make_field(2, e) for e in range(1, 9)] + [
+    make_field(p, e) for p, e in [(3, 1), (5, 1), (7, 1), (3, 2), (5, 2),
+                                  (3, 3), (7, 2), (11, 2), (5, 3), (3, 5),
+                                  (127, 1)]]
 
 
 @pytest.mark.parametrize("fld", LANE_FIELDS, ids=repr)
 def test_lane_multiples_match_field_products(fld):
-    assert has_lanes(fld)
     row = list(fld.elements())
-    lanes = LaneRows(fld, len(row))
-    times = lanes.multiples(lanes.pack(row))
+    lanes = lanes_for(fld, len(row))
+    assert isinstance(lanes, LaneRows if fld.p == 2 else DigitLanes)
+    v = lanes.pack(row)
+    assert lanes.unpack(v) == row
+    times = lanes.multiples(v)
     for c in fld.elements():
-        assert lanes.unpack(times[c]) == [fld.mul(c, v) for v in row]
+        assert lanes.unpack(times[lanes.key(c)]) == [fld.mul(c, v)
+                                                     for v in row]
 
 
 def lane_matrices(rng, fld, width):
