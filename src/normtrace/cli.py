@@ -19,7 +19,8 @@ from .curves import CurveError, enumerate_points, make_curve
 from .distance import DEFAULT_BUDGET, BudgetExceeded, \
     exact_min_distance_enum, exact_min_distance_parity, geil_bound
 from .fields import FieldError
-from .reporting import CacheError, export_matrix, run_report, sweep
+from .reporting import CacheError, check_routes_agree, export_matrix, \
+    run_report, sweep
 from .subfield import is_frobenius_invariant, subfield_subcode_dim, \
     subfield_subcode_of_ent, trace_span_dim
 
@@ -138,6 +139,7 @@ def _run(args) -> int:
         c = make_curve(args.p, args.l, args.r, args.u)
         dim = subfield_subcode_dim(c, args.s, args.t)
         oracle = subfield_subcode_of_ent(c, args.s, args.t).k
+        check_routes_agree(oracle, dim)
         inv = is_frobenius_invariant(c, args.s, args.t)
         _emit(args, {"s": args.s, "t": args.t, "dim_delsarte": dim,
                      "dim_oracle": oracle,

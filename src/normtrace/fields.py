@@ -368,6 +368,7 @@ class SubfieldEmbedding:
         g = min(big.p, big.order - 1)  # the polynomial-basis element "x"
         self._basis = tuple(big.pow(g, j) for j in range(self.m))
         self._coordinates = None
+        self._components = None
 
     def _find_root(self):
         mod = self.small.modulus
@@ -421,6 +422,27 @@ class SubfieldEmbedding:
                                  f"F_{big.order} over F_{self.small.order}")
             self._coordinates = table
         return self._coordinates
+
+    @property
+    def components(self):
+        """Per component c < m, the table from each big-field element to its
+        coordinate c.
+
+        Over a big field of order at most 256 each table is 256 bytes, so a
+        bytes row gives its components with `row.translate(table)`; above
+        that each is a tuple read per entry.  Built once, on first use.
+        """
+        if self._components is None:
+            table = self.coordinates
+            if self.big.order <= 256:
+                self._components = tuple(
+                    bytes(coords[c] for coords in table).ljust(256, b"\0")
+                    for c in range(self.m))
+            else:
+                self._components = tuple(
+                    tuple(coords[c] for coords in table)
+                    for c in range(self.m))
+        return self._components
 
     def decompose(self, x: int):
         """Coordinates of x over the small field w.r.t. the chosen basis."""

@@ -10,6 +10,7 @@ paper_claim_delta field; computed values are never patched to match.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -71,6 +72,14 @@ class CodeReport:
         return CodeReport(**{f: data[f] for f in REPORT_FIELDS})
 
 
+def check_routes_agree(dim_oracle: int, dim_delsarte: int) -> None:
+    """Raise AssertionError when the oracle and Delsarte dimensions of a
+    subfield subcode differ."""
+    if dim_oracle != dim_delsarte:
+        raise AssertionError(f"oracle dimension {dim_oracle} != "
+                             f"Delsarte dimension {dim_delsarte}")
+
+
 def run_report(p: int, l: int, r: int, u: int, s: int, t: int,
                exact: bool | None = None,
                budget: int = DEFAULT_BUDGET) -> CodeReport:
@@ -104,9 +113,7 @@ def run_report(p: int, l: int, r: int, u: int, s: int, t: int,
     even = None
     if exact is not False:
         subcode = subfield_subcode_of_ent(curve, s, t)
-        if subcode.k != dim_sub:
-            raise AssertionError(
-                f"oracle dimension {subcode.k} != Delsarte dimension {dim_sub}")
+        check_routes_agree(subcode.k, dim_sub)
         if t == 2:
             even = is_even_weight(subcode)
         if subcode.k > 0:
@@ -179,7 +186,9 @@ def sweep(p: int, l: int, r: int, u: int, s_values, t: int,
     """One report per s, appending new records to the JSON-lines cache.
 
     Cached keys are skipped unless force=True (recomputed records then
-    replace the cache file wholesale to keep keys unique).
+    replace the cache file wholesale to keep keys unique, through a temp
+    file in the same directory and os.replace, so a failed rewrite leaves
+    the old cache as it was).
     """
     cached = read_cache(cache_path) if cache_path else {}
     results = []
@@ -196,8 +205,19 @@ def sweep(p: int, l: int, r: int, u: int, s_values, t: int,
     if cache_path and fresh:
         path = Path(cache_path)
         if force:
-            path.write_text("".join(rep.to_json() + "\n"
-                                    for rep in cached.values()))
+            tmp = path.with_name(f".{path.name}.{os.getpid()}."
+                                 f"{os.urandom(4).hex()}.tmp")
+            fh = tmp.open("x")
+            try:
+                with fh:
+                    fh.writelines(rep.to_json() + "\n"
+                                  for rep in cached.values())
+                    fh.flush()
+                    os.fsync(fh.fileno())
+                os.replace(tmp, path)
+            except BaseException:
+                tmp.unlink(missing_ok=True)
+                raise
         else:
             with path.open("a") as fh:
                 for rep in fresh:

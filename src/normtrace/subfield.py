@@ -5,8 +5,11 @@ Two fully independent routes to the dimension of NT_u(s)|F_t are provided:
 * the Groebner route: n minus the rank of the normal forms of all Frobenius
   powers of the dual's monomials (Delsarte plus the trace-of-affine-variety
   identity), and
-* a direct oracle: expand a spanning set of the code over F_t coordinates
-  and solve for the combinations landing inside F_t^n.
+* a direct oracle: expand the k rows of the code's reduced echelon
+  generator matrix over F_t coordinates and solve for their F_t-combinations
+  landing inside F_t^n.  The generator matrix is the identity on its pivot
+  columns, so only F_t-combinations of its rows can land there, and one
+  k x mn elimination over F_t suffices.
 
 The two must always agree; the test suite asserts this on every instance.
 """
@@ -14,13 +17,13 @@ The two must always agree; the test suite asserts this on every instance.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .codes import build_code, dual_weight
 from .curves import CurveSpec
 from .fields import FieldError, SubfieldEmbedding, embedding, make_field, \
     subfield_of_order
-from .linalg import LinearCode, rank, row_space_basis, row_type, rref, \
-    scale_rows
+from .linalg import LinearCode, rank, row_space_basis, rref, scale_rows
 from .monomials import footprint, monomials_up_to
 from .reduction import monomial_normal_form
 
@@ -87,42 +90,78 @@ def subfield_subcode_dim(curve: CurveSpec, s: int, t: int) -> int:
 
 
 def _spanning_rows_over_subfield(code: LinearCode, emb: SubfieldEmbedding):
-    """Rows whose F_t-span is all of C: basis rows scaled by a big/small basis,
-    one basis element at a time."""
+    """Rows whose F_t-span is all of C (for trace_code): basis rows scaled
+    by a big/small basis, one basis element at a time."""
     for b in emb.basis:
         yield from scale_rows(b, code.generators, code.field, code.n)
+
+
+def _is_systematic(rows) -> bool:
+    """Whether each row is 1 at its leading column and every other row is 0
+    there, so that the rows restricted to their leading columns form an
+    identity matrix (true of a reduced echelon form)."""
+    leads = []
+    for row in rows:
+        if isinstance(row, bytes):
+            lead = len(row) - len(row.lstrip(b"\0"))
+        else:
+            lead = next((j for j, v in enumerate(row) if v), len(row))
+        if lead == len(row) or row[lead] != 1:
+            return False
+        leads.append(lead)
+    if len(leads) < 2:
+        return True
+    pick = itemgetter(*leads)
+    return all(pick(row).count(0) == len(leads) - 1 for row in rows)
 
 
 def subfield_subcode_oracle(code: LinearCode,
                             emb: SubfieldEmbedding) -> LinearCode:
     """C intersect F_t^n, computed directly by coordinate expansion.
 
-    A word of C lies in F_t^n exactly when, in each coordinate's expansion
-    over the decomposition basis (which starts at 1), every component past
-    the first vanishes.  Each row of an F_t-spanning set of C is expanded
-    into its components past the first, followed by its first components.
-    In the reduced echelon form of these rows, the rows whose pivot lies
-    among the first components are zero before it, and their first
+    The generators G_i are the identity on their pivot columns, so the word
+    sum x_i G_i is x on those columns: it lies in F_t^n only if x does, and
+    C intersect F_t^n is the set of F_t-combinations of the G_i that land
+    in F_t^n.  Over F_t the expansion on the decomposition basis (which
+    starts at 1) is linear, and a word lies in F_t^n exactly when every
+    component past the first vanishes in each coordinate.  So each G_i
+    becomes one row over F_t: the components past the first of every
+    coordinate, then the first component of every coordinate.  In the
+    reduced echelon form of these k rows of width mn, the rows whose pivot
+    lies among the first components are zero before it, and their first
     components are the reduced echelon basis of C intersect F_t^n.
+
+    Generators that fail the pivot-column premise (a LinearCode built
+    directly from other rows) are brought to reduced echelon form first.
     """
     if emb.big != code.field:
         raise FieldError("embedding does not target the code's field")
     small = emb.small
     m = emb.m
+    n = code.n
     if m == 1:
         # Trivial extension: the code already lives over the small field.
-        return row_space_basis(code.generators, small, code.n)
-    # The embedding's table shares one coordinate tuple per field element.
-    table = emb.coordinates
-    pack = row_type(small)
+        return row_space_basis(code.generators, small, n)
+    rows = code.generators
+    if not _is_systematic(rows):
+        rows = row_space_basis(rows, code.field, n).generators
+    comps = emb.components
+    width = n * (m - 1)
     expanded = []
-    for row in _spanning_rows_over_subfield(code, emb):
-        comps = [table[v] for v in row]
-        expanded.append(pack([c for cs in comps for c in cs[1:]] +
-                             [cs[0] for cs in comps]))
-    width = code.n * (m - 1)
+    for row in rows:
+        if isinstance(row, bytes):
+            out = bytearray(width + n)
+            for c in range(1, m):
+                out[c - 1:width:m - 1] = row.translate(comps[c])
+            out[width:] = row.translate(comps[0])
+        else:
+            out = [0] * (width + n)
+            for c in range(1, m):
+                out[c - 1:width:m - 1] = map(comps[c].__getitem__, row)
+            out[width:] = map(comps[0].__getitem__, row)
+        expanded.append(out)
     reduced, pivots = rref(expanded, small)
-    return LinearCode(small, code.n, [
+    return LinearCode(small, n, [
         row[width:] for row, col in zip(reduced, pivots) if col >= width])
 
 

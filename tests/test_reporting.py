@@ -53,6 +53,42 @@ def test_sweep_cache(tmp_path):
     assert len(read_cache(cache)) == 7
 
 
+def test_sweep_force_rewrites_cache(tmp_path):
+    cache = tmp_path / "cache.jsonl"
+    reports = sweep(2, 1, 4, 3, range(0, 3), 2, cache_path=cache)
+    again = sweep(2, 1, 4, 3, range(1, 4), 2, cache_path=cache, force=True)
+    assert again[:2] == reports[1:]
+    assert cache.read_text() == "".join(
+        rep.to_json() + "\n" for rep in reports + again[2:])
+    assert [p.name for p in tmp_path.iterdir()] == ["cache.jsonl"]
+
+
+@pytest.mark.parametrize("failing", ["record", "replace"])
+def test_sweep_force_failure_keeps_old_cache(tmp_path, monkeypatch, failing):
+    cache = tmp_path / "cache.jsonl"
+    sweep(2, 1, 4, 3, range(0, 3), 2, cache_path=cache)
+    before = cache.read_bytes()
+    if failing == "record":
+        # fail on the second record, after the first is written
+        calls = []
+        to_json = CodeReport.to_json
+
+        def flaky(rep):
+            calls.append(rep)
+            if len(calls) == 2:
+                raise RuntimeError("disk gone")
+            return to_json(rep)
+        monkeypatch.setattr(CodeReport, "to_json", flaky)
+    else:
+        def refuse(src, dst):
+            raise OSError("replace refused")
+        monkeypatch.setattr("normtrace.reporting.os.replace", refuse)
+    with pytest.raises((RuntimeError, OSError)):
+        sweep(2, 1, 4, 3, range(0, 3), 2, cache_path=cache, force=True)
+    assert cache.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["cache.jsonl"]
+
+
 def test_sweep_empty_range(tmp_path):
     assert sweep(2, 1, 4, 3, range(5, 5), 2,
                  cache_path=tmp_path / "c.jsonl") == []
@@ -127,6 +163,24 @@ def test_cli_code_odd_characteristic(capsys):
                "--s", "8", "--t", "3"])
     assert rc == 0
     assert "dim_subfield: 4" in capsys.readouterr().out
+
+
+def test_cli_subfield_routes(capsys):
+    rc = main(["subfield", "--p", "3", "--l", "1", "--r", "3", "--u", "13",
+               "--s", "100", "--t", "3", "--json"])
+    assert rc == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data["dim_delsarte"] == data["dim_oracle"] == 4
+
+
+def test_cli_subfield_rejects_disagreeing_routes(monkeypatch, capsys):
+    monkeypatch.setattr("normtrace.cli.subfield_subcode_dim",
+                        lambda curve, s, t: 26)
+    with pytest.raises(AssertionError,
+                       match="oracle dimension 25 != Delsarte dimension 26"):
+        main(["subfield", "--p", "2", "--l", "1", "--r", "4", "--u", "3",
+              "--s", "36", "--t", "2"])
+    assert capsys.readouterr().out == ""
 
 
 def test_cli_invalid_parameters(capsys):

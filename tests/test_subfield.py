@@ -5,7 +5,7 @@ import pytest
 from normtrace.codes import build_code
 from normtrace.curves import make_curve
 from normtrace.fields import embedding, make_field
-from normtrace.linalg import LinearCode, kernel, rank, row_space_basis
+from normtrace.linalg import LinearCode, kernel, rank, row_space_basis, rref
 from normtrace.monomials import footprint, monomials_up_to
 from normtrace.reduction import frobenius_power, monomial_poly, normal_form
 from normtrace.subfield import (FrobeniusInvariance, code_frobenius,
@@ -217,3 +217,125 @@ def test_frobenius_invariance_matches_rewriting_route(params):
         for t in (2, 4):
             assert is_frobenius_invariant(curve, s, t) == \
                 rewriting_invariance(curve, s, t)
+
+
+def spanning_set_subcode(code, emb):
+    """C intersect F_t^n by expanding all m*k rows b*G_i (b over the
+    decomposition basis, G_i over the generators), each entry multiplied and
+    decomposed one at a time, then one elimination over F_t: the rows whose
+    pivot lies among the first components give the subcode."""
+    fld, small, n = code.field, emb.small, code.n
+    rows = []
+    for b in emb.basis:
+        for g in code.generators:
+            coords = [emb.decompose(fld.mul(b, v)) for v in g]
+            rows.append([c for cs in coords for c in cs[1:]] +
+                        [cs[0] for cs in coords])
+    width = n * (emb.m - 1)
+    reduced, pivots = rref(rows, small)
+    return LinearCode(small, n, [row[width:] for row, col
+                                 in zip(reduced, pivots) if col >= width])
+
+
+def code_with_subcode(rng, emb, n, k, j):
+    """A random k-dimensional code over the big field (k <= n) spanned by j
+    random words over the small field and k - j random words over the big
+    field, so that its subfield subcode usually has dimension j."""
+    small, big = emb.small, emb.big
+    while True:
+        rows = [[emb.embed(rng.randrange(small.order)) for _ in range(n)]
+                for _ in range(j)]
+        rows += [[rng.randrange(big.order) for _ in range(n)]
+                 for _ in range(k - j)]
+        code = row_space_basis(rows, big, n) if rows else \
+            LinearCode(big, n, ())
+        if code.k == k:
+            return code
+
+
+ORACLE_FIELDS = [((2, 1), (2, 4)), ((2, 2), (2, 4)), ((3, 1), (3, 2)),
+                 ((3, 1), (3, 3)), ((5, 1), (5, 2)), ((2, 3), (2, 6)),
+                 ((2, 1), (2, 8)), ((2, 3), (2, 9)),
+                 # m = 1
+                 ((2, 4), (2, 4)), ((3, 2), (3, 2)), ((2, 9), (2, 9))]
+
+
+@pytest.mark.parametrize("small,big", ORACLE_FIELDS, ids=str)
+def test_oracle_matches_spanning_set_route(small, big):
+    emb = embedding(make_field(*small), make_field(*big))
+    rng = random.Random(str((small, big)))
+    cases = [(n, k, rng.randint(0, k)) for n in (1, 5, 9, 17)
+             for k in range(0, n + 1, max(1, n // 4))]
+    for n, k, j in cases:
+        code = code_with_subcode(rng, emb, n, k, j)
+        sub = subfield_subcode_oracle(code, emb)
+        assert sub.generators == spanning_set_subcode(code, emb).generators
+        assert sub.k >= j
+    # a zero column stays zero in the subcode
+    code = code_with_subcode(rng, emb, 8, 5, 3)
+    zeroed = row_space_basis([row[:3] + bytes(1) + row[4:]
+                              if isinstance(row, bytes) else
+                              row[:3] + (0,) + row[4:]
+                              for row in code.generators], emb.big, 8)
+    sub = subfield_subcode_oracle(zeroed, emb)
+    assert sub.generators == spanning_set_subcode(zeroed, emb).generators
+    assert all(row[3] == 0 for row in sub.generators)
+
+
+@pytest.mark.parametrize("small,big", ORACLE_FIELDS, ids=str)
+def test_oracle_edge_cases(small, big):
+    emb = embedding(make_field(*small), make_field(*big))
+    fld, sub_fld = emb.big, emb.small
+    # k = 0
+    assert subfield_subcode_oracle(LinearCode(fld, 6, ()), emb) == \
+        LinearCode(sub_fld, 6, ())
+    # k = n: the whole of F_t^n, identity generators
+    full = subfield_subcode_oracle(row_space_basis(
+        [[int(i == j) for j in range(6)] for i in range(6)], fld, 6), emb)
+    assert full == row_space_basis(
+        [[int(i == j) for j in range(6)] for i in range(6)], sub_fld, 6)
+    # a code whose subcode is {0}: x * (1, a) with a outside F_t
+    if emb.m > 1:
+        a = next(v for v in fld.elements() if any(emb.decompose(v)[1:]))
+        assert subfield_subcode_oracle(
+            row_space_basis([[1, a, 0]], fld, 3), emb).k == 0
+
+
+@pytest.mark.parametrize("small,big", ORACLE_FIELDS, ids=str)
+def test_oracle_on_non_echelon_generators(small, big):
+    """A LinearCode built directly from rows that are not a reduced echelon
+    form gets the subcode of its row space."""
+    emb = embedding(make_field(*small), make_field(*big))
+    fld = emb.big
+    rng = random.Random(89)
+    g = next(v for v in fld.elements() if v > 1 and
+             (emb.m == 1 or any(emb.decompose(v)[1:])))
+    word = [emb.embed(rng.randrange(1, emb.small.order)) for _ in range(7)]
+    echelon = code_with_subcode(rng, emb, 7, 4, 2).generators
+    e0, e1 = code_with_subcode(rng, emb, 7, 2, 2).generators  # over F_t
+    cases = [
+        # g times a word over F_t: its F_t-combinations miss the word
+        [[fld.mul(g, v) for v in word]],
+        # 1 at each leading column, g at the other row's: the F_t-combinations
+        # miss e0
+        [[fld.add(v, fld.mul(g, w)) for v, w in zip(e0, e1)], e1],
+        # rows of a code in reverse order, and with a row added to another
+        list(reversed(echelon)),
+        [echelon[0], [fld.add(v, w) for v, w in zip(echelon[0],
+                                                    echelon[1])],
+         *echelon[2:]],
+        # a zero row, and two rows with the same leading column
+        [bytes(7) if isinstance(echelon[0], bytes) else (0,) * 7,
+         *echelon],
+        [[fld.mul(g, v) for v in echelon[0]], *echelon],
+        # random rows
+        [[rng.randrange(fld.order) for _ in range(7)] for _ in range(3)],
+    ]
+    for rows in cases:
+        code = LinearCode(fld, 7, rows)
+        expect = subfield_subcode_oracle(row_space_basis(rows, fld, 7), emb)
+        assert subfield_subcode_oracle(code, emb) == expect
+        assert expect == spanning_set_subcode(row_space_basis(rows, fld, 7),
+                                              emb)
+    assert subfield_subcode_oracle(LinearCode(fld, 7, cases[0]), emb).k == 1
+    assert subfield_subcode_oracle(LinearCode(fld, 7, cases[1]), emb).k == 2
