@@ -10,6 +10,8 @@ exact algorithms are mutually independent:
 
 Both take explicit work budgets; exceeding a budget raises, it never
 silently truncates, and the error carries the distance bracket reached.
+Both pack their words and columns as linalg.row_packing gives for the
+field, so each has one code path whatever the field.
 """
 
 from __future__ import annotations
@@ -17,12 +19,11 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import repeat
 from math import comb
 
 from .curves import CurveSpec
 from .fields import FieldError
-from .linalg import LinearCode, kernel, lanes_for, rref
+from .linalg import LinearCode, kernel, row_packing, rref
 from .monomials import footprint, footprint_paper_variant, weight
 
 DEFAULT_BUDGET = 1 << 26
@@ -121,145 +122,17 @@ def _information_sets(code: LinearCode) -> list:
     return forms
 
 
-class _BitWords:
-    """Words over F_2 as ints, bit i for coordinate i; adding is XOR."""
-
-    span = None  # additions a word takes before it must be reduced
-
-    def __init__(self, fld, n: int):
-        self.n = n
-
-    def pack(self, row) -> int:
-        return sum(1 << i for i, v in enumerate(row) if v)
-
-    @staticmethod
-    def multiples(v: int) -> list:
-        return [v]
-
-    add = staticmethod(int.__xor__)
-
-    @staticmethod
-    def weights(s: int, words):
-        return map(int.bit_count, map(s.__xor__, words))
-
-    def unpack(self, v: int) -> tuple:
-        return tuple(v >> i & 1 for i in range(self.n))
-
-
-class _LaneWords:
-    """Words over F_{2^e}, e <= 8, in byte lanes (linalg.LaneRows); adding
-    is XOR and the weight is the count of nonzero bytes."""
-
-    span = None
-
-    def __init__(self, lanes):
-        self.n = lanes.width
-        self.q = lanes.fld.order
-        self.lanes = lanes
-        self.pack = lanes.pack
-
-    def multiples(self, v: int) -> list:
-        times = self.lanes.multiples(v)
-        return [times[c] for c in range(1, self.q)]
-
-    add = staticmethod(int.__xor__)
-
-    def weights(self, s: int, words):
-        n = self.n
-        return map(n.__sub__, map(bytes.count, map(
-            int.to_bytes, map(s.__xor__, words), repeat(n), repeat("little")),
-            repeat(0)))
-
-    def unpack(self, v: int) -> tuple:
-        return tuple(v.to_bytes(self.n, "little"))
-
-
-class _DigitWords:
-    """Words over an odd field of order at most 256 with p <= 127, one byte
-    lane per F_p digit (linalg.DigitLanes).  Adding is integer addition and
-    leaves each lane congruent to its digit mod p; a word is reduced (every
-    lane taken mod p) before an addition could take a lane past 255.  The
-    weight is n minus the entries whose e reduced digits are all zero."""
-
-    def __init__(self, lanes):
-        self.n = lanes.width
-        self.q = lanes.fld.order
-        self.lanes = lanes
-        self.pack = lanes.pack
-        self.reduce = lanes.reduce
-        # A reduced word takes this many additions of reduced multiples.
-        self.span = lanes.span
-        # Times the reduced lanes, lane j*e + e - 1 holds the sum of entry
-        # j's digits, at most e(p - 1) < 256.
-        self.digit_sum = int.from_bytes(b"\x01" * lanes.e, "little")
-
-    def multiples(self, v: int) -> list:
-        times, key = self.lanes.multiples(v), self.lanes.key
-        return [times[key(c)] for c in range(1, self.q)]
-
-    add = staticmethod(int.__add__)
-
-    def weights(self, s: int, words):
-        n, lanes = self.n, self.lanes
-        if lanes.e == 1:
-            return map(n.__sub__, map(bytes.count, map(bytes.translate, map(
-                int.to_bytes, map(s.__add__, words), repeat(n),
-                repeat("little")), repeat(lanes.mod)), repeat(0)))
-        e, nbytes, mod = lanes.e, lanes.nbytes, lanes.mod
-        return (n - (int.from_bytes((s + t).to_bytes(nbytes, "little")
-                                    .translate(mod), "little") *
-                     self.digit_sum).to_bytes(nbytes + e - 1, "little")
-                [e - 1::e].count(0) for t in words)
-
-    def unpack(self, v: int) -> tuple:
-        return tuple(self.lanes.unpack(self.reduce(v)))
-
-
-class _ListWords:
-    """Words as lists, added through the field's row operations."""
-
-    span = None
-
-    def __init__(self, fld, n: int):
-        self.fld = fld
-        self.minus_one = fld.neg(1)
-        self.n = n
-        self.pack = list
-
-    def multiples(self, v: list) -> list:
-        return [self.fld.scale_row(c, v) for c in range(1, self.fld.order)]
-
-    def add(self, a: list, b: list) -> list:
-        return self.fld.sub_scaled_row(a, self.minus_one, b)
-
-    def weights(self, s: list, words):
-        n = self.n
-        return (n - self.add(s, t).count(0) for t in words)
-
-    unpack = tuple
-
-
-def _words(fld, n: int):
-    if fld.order == 2:
-        return _BitWords(fld, n)
-    lanes = lanes_for(fld, n)
-    if lanes is None:
-        return _ListWords(fld, n)
-    return _LaneWords(lanes) if fld.p == 2 else _DigitWords(lanes)
-
-
 class _Enumeration:
     """One information-set enumeration: the systematic forms as packed
     words, the lightest word seen (the upper bound), the lower bound on
     every word not yet visited, and the codewords visited so far."""
 
     def __init__(self, code: LinearCode, budget: int):
-        self.words = words = _words(code.field, code.n)
-        self.forms = [[words.pack(row) for row in form]
+        self.packing = packing = row_packing(code.field, code.n)
+        self.forms = [[packing.pack(row) for row in form]
                       for form in _information_sets(code)]
         self.k = code.k
         self.step = code.field.order - 1  # nonzero multiples of a row
-        self.zero = words.pack(bytes(code.n))
         # A nonzero word is nonzero on every information set.
         self.lower = len(self.forms)
         self.upper = code.n + 1  # no word seen
@@ -300,15 +173,19 @@ class _Enumeration:
         row.  Returns True once the lightest word seen is no heavier than
         the lower bound.
         """
-        words, w, k, step = self.words, self.w, self.k, self.step
-        add, span = words.add, words.span
+        packing, w, k, step = self.packing, self.w, self.k, self.step
+        add, span = packing.add, packing.span
         rows, flat = form
         if flat is None and w > 1:
-            form[1] = flat = [t for v in rows for t in words.multiples(v)]
+            keys = [packing.key(c) for c in range(1, step + 1)]
+            form[1] = flat = []
+            for v in rows:
+                times = packing.multiples(v)
+                flat += [times[c] for c in keys]
 
         def walk(s, start, depth, fresh):
             if fresh == span:
-                s, fresh = words.reduce(s), 0
+                s, fresh = packing.reduce(s), 0
             if depth == w - 1:
                 return self._leaves(s, flat[start * step:] if depth
                                     else rows[start:])
@@ -319,7 +196,7 @@ class _Enumeration:
                         return True
             return False
 
-        return walk(self.zero, 0, 0, 0)
+        return walk(packing.zero, 0, 0, 0)
 
     def _leaves(self, s, tail: list) -> bool:
         """Visit the words s + t for t in tail, which is never empty."""
@@ -332,11 +209,11 @@ class _Enumeration:
                 spent=self.spent, budget=self.budget, lower=self.lower,
                 upper=upper)
         self.spent += len(tail)
-        words = self.words
-        least = min(words.weights(s, tail))
+        packing = self.packing
+        least = min(packing.weights(s, tail))
         if least < self.upper:
-            i = list(words.weights(s, tail)).index(least)
-            self.upper, self.lightest = least, words.add(s, tail[i])
+            i = list(packing.weights(s, tail)).index(least)
+            self.upper, self.lightest = least, packing.add(s, tail[i])
         return self.upper <= self.lower
 
 
@@ -365,7 +242,8 @@ def exact_min_distance_enum(code: LinearCode,
     search.run()
     return DistanceResult(lower_bound=None, exact=search.upper,
                           method="enumeration",
-                          witness=search.words.unpack(search.lightest))
+                          witness=tuple(search.packing.unpack(
+                              search.packing.reduce(search.lightest))))
 
 
 # -- parity-column search --
@@ -390,32 +268,9 @@ def _first_dependent_set(cols, w, fld, spent, budget):
     Every node visited, prefix or leaf, counts one against the budget; the
     search raises BudgetExceeded once the budget is used up.
     """
-    if fld.order == 2:
-        # Columns are ints; the pivot is the lowest set bit, reduction XOR.
-        cols = [sum(v << i for i, v in enumerate(c)) for c in cols]
-        zero = 0
-
-        def eliminate(v, rest):
-            bit = v & -v
-            return [u ^ v if u & bit else u for u in rest]
-    elif (lanes := lanes_for(fld, len(cols[0]))) is not None:
-        # Columns in byte lanes; the pivot is the lowest nonzero lane.
-        cols = [lanes.pack(c) for c in cols]
-        zero = 0
-
-        def eliminate(v, rest):
-            col = lanes.lead(v)
-            return lanes.sweep(rest, lanes.pivot_multiples(v, col), col)
-    else:
-        cols = [list(c) for c in cols]
-        zero = [0] * len(cols[0])
-
-        def eliminate(v, rest):
-            p = next(i for i, x in enumerate(v) if x)
-            if v[p] != 1:
-                v = fld.scale_row(fld.inv(v[p]), v)
-            return [fld.sub_scaled_row(u, u[p], v) if u[p] else u
-                    for u in rest]
+    packing = row_packing(fld, len(cols[0]))
+    cols = [packing.pack(c) for c in cols]
+    zero, eliminate = packing.zero, packing.eliminate
 
     def exceeded():
         return BudgetExceeded(

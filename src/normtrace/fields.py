@@ -5,9 +5,9 @@ polynomial-basis coefficient vector (a_0, ..., a_{e-1}) as sum(a_i * p^i).
 All arithmetic goes through a FiniteField instance; for orders up to 2^16
 multiplication and inversion use precomputed exp/log tables, above that they
 fall back to polynomial arithmetic modulo the field's irreducible modulus.
-The row operations here take one `mul` and `sub` per entry; the matrix
-kernels use them only for fields whose rows do not fit the byte lanes of
-linalg (order above 256, or characteristic from 131 to 251).
+`scale_row` takes one `mul` per entry; linalg's EntryRows scales rows with
+it over the fields whose entries do not fit byte lanes (order above 256, or
+characteristic from 131 to 251).
 """
 
 from __future__ import annotations
@@ -144,14 +144,21 @@ class FiniteField:
     canonical instance for given (p, e).
     """
 
-    def __init__(self, p: int, e: int, max_order: int = MAX_FIELD_ORDER):
-        if not _is_prime(p):
-            raise FieldError(f"characteristic {p} is not prime")
+    def __init__(self, p: int, e: int):
         if e < 1:
             raise FieldError(f"extension degree must be >= 1, got {e}")
+        # Before the primality test, which takes about sqrt(p) steps, and
+        # p**e, which takes about e digits: p^e >= 2^e for p >= 2.
+        if p > MAX_FIELD_ORDER or (p > 1 and
+                                   e >= MAX_FIELD_ORDER.bit_length()):
+            raise FieldError(
+                f"field order {p}^{e} exceeds cap {MAX_FIELD_ORDER}")
+        if not _is_prime(p):
+            raise FieldError(f"characteristic {p} is not prime")
         order = p**e
-        if order > max_order:
-            raise FieldError(f"field order {order} exceeds cap {max_order}")
+        if order > MAX_FIELD_ORDER:
+            raise FieldError(
+                f"field order {order} exceeds cap {MAX_FIELD_ORDER}")
         self.p = p
         self.e = e
         self.order = order
@@ -264,15 +271,9 @@ class FiniteField:
     def elements(self):
         return range(self.order)
 
-    # -- row arithmetic for the matrix kernels --
-
     def scale_row(self, c: int, row) -> list:
         """The row c * row."""
         return [self.mul(c, v) for v in row]
-
-    def sub_scaled_row(self, row, c: int, other) -> list:
-        """The row row - c * other."""
-        return [self.sub(v, self.mul(c, w)) for v, w in zip(row, other)]
 
     # -- discrete-log tables --
 

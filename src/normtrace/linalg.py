@@ -6,24 +6,141 @@ form, so two codes are equal as sets exactly when their stored matrices are
 equal.  A code's rows are `bytes` over fields of order at most 256 and
 tuples otherwise (see row_type).
 
-Rows over a field of order at most 256 and characteristic at most 127 are
-eliminated as Python ints in byte lanes (see lanes_for): one lane per entry
-in characteristic 2 (LaneRows), one lane per F_p digit of an entry in odd
-characteristic (DigitLanes).  Rows over any other field go through the
-field's per-entry mul and sub.
+Every elimination and every codeword sum packs its rows the one way
+row_packing picks from the field: one bit per entry over F_2 (BitRows), one
+byte lane per entry over F_4 ... F_256 (LaneRows), one byte lane per F_p
+digit over odd fields of order at most 256 with p <= 127 (DigitLanes), and
+lists through the field's per-entry mul and add over every other field
+(EntryRows).  The four share one set of methods, so rref, kernel and the
+distance searches each have one code path.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import repeat
 
 from .fields import FiniteField
 
 
-class LaneRows:
-    """Rows of a fixed width over F_{2^e}, e <= 8, packed one entry per
-    byte.
+class _Packing:
+    """What the packings share.  `span` is how many additions a reduced
+    word takes before it must be reduced again; None when adding never
+    leaves a word unreduced, so that `reduce` is the identity.  `key` maps
+    a scalar to its key in the maps that multiples gives."""
+
+    span = None
+    zero = 0
+    minus_one = 1
+
+    def __init__(self, fld: FiniteField, width: int):
+        self.fld = fld
+        self.width = width
+
+    @staticmethod
+    def key(c: int) -> int:
+        return c
+
+    @staticmethod
+    def reduce(v):
+        return v
+
+    def back_substitute(self, echelon: list, pivots: list) -> None:
+        """Clear the entries above each pivot of a reduced echelon form, in
+        place.
+
+        A reduced row is zero at every other pivot column, so subtracting
+        it from a row above leaves that row's other pivot entries
+        unchanged: each row is unpacked once, up front, and its entries at
+        the pivot columns are read from that.
+        """
+        later = list(map(self.unpack, echelon))
+        add, reduce, key = self.add, self.reduce, self.key
+        for j in range(len(echelon) - 1, 0, -1):
+            col = pivots[j]
+            minus = self.pivot_multiples(echelon[j], col)
+            for i in range(j):
+                c = later[i][col]
+                if c:
+                    echelon[i] = reduce(add(echelon[i], minus[key(c)]))
+
+    def eliminate(self, v, rows) -> list:
+        """Each row minus the multiple of v that clears its entry at the
+        first nonzero column of v."""
+        col = self.lead(v)
+        return self.sweep(rows, self.pivot_multiples(v, col), col)
+
+
+class _Products(dict):
+    """The map key(c) -> c * v of a row v, each product(key) built on first
+    use."""
+
+    def __init__(self, product):
+        super().__init__()
+        self.product = product
+
+    def __missing__(self, c):
+        self[c] = w = self.product(c)
+        return w
+
+
+_BITS = bytes.maketrans(b"\0\1", b"01")
+_UNBITS = bytes.maketrans(b"01", b"\0\1")
+
+
+class BitRows(_Packing):
+    """Rows of a fixed width over F_2, entry j in bit j of one int: adding
+    two rows is one XOR and a weight is a bit count."""
+
+    add = staticmethod(int.__xor__)
+
+    @staticmethod
+    def pack(row) -> int:
+        return int(bytes(row)[::-1].translate(_BITS) or b"0", 2)
+
+    def unpack(self, v: int) -> list:
+        return list(format(v, f"0{self.width}b")[::-1].encode()
+                    .translate(_UNBITS))
+
+    @staticmethod
+    def lead(v: int) -> int:
+        """The column of the first nonzero entry of a nonzero row."""
+        return (v & -v).bit_length() - 1
+
+    @staticmethod
+    def multiples(v: int) -> tuple:
+        """The map key(c) -> c * v."""
+        return 0, v
+
+    @staticmethod
+    def pivot_multiples(v: int, col: int) -> tuple:
+        """The map key(c) -> -c * v / v[col]; here v[col] = 1 = -1."""
+        return 0, v
+
+    @staticmethod
+    def sweep(rows, minus, col) -> list:
+        """Each row minus its entry at col times the pivot, for the map
+        minus that pivot_multiples gives."""
+        bit, v = 1 << col, minus[1]
+        return [u ^ v if u & bit else u for u in rows]
+
+    @staticmethod
+    def eliminate(v: int, rows) -> list:
+        """As _Packing.eliminate, in one step: the pivot is the lowest set
+        bit of v."""
+        bit = v & -v
+        return [u ^ v if u & bit else u for u in rows]
+
+    @staticmethod
+    def weights(s: int, words):
+        """The weight of s + t for each word t."""
+        return map(int.bit_count, map(s.__xor__, words))
+
+
+class LaneRows(_Packing):
+    """Rows of a fixed width over F_{2^e}, 2 <= e <= 8, packed one entry
+    per byte.
 
     A row is the int with entry j in byte lane j, so adding two rows is one
     XOR.  Multiplying every lane by the generator x is a shift inside each
@@ -32,11 +149,10 @@ class LaneRows:
     An entry's lane holds the element itself, so `key` is the identity.
     """
 
-    minus_one = 1
+    add = staticmethod(int.__xor__)
 
     def __init__(self, fld: FiniteField, width: int):
-        self.fld = fld
-        self.width = width
+        super().__init__(fld, width)
         self.e = fld.e
         self.ones = int.from_bytes(b"\x01" * width, "little")
         self.low = self.ones * ((1 << (fld.e - 1)) - 1)
@@ -47,10 +163,6 @@ class LaneRows:
 
     def unpack(self, v: int) -> list:
         return list(v.to_bytes(self.width, "little"))
-
-    @staticmethod
-    def key(c: int) -> int:
-        return c
 
     @staticmethod
     def lead(v: int) -> int:
@@ -65,33 +177,34 @@ class LaneRows:
         return [v ^ minus[v >> shift & 255] for v in rows]
 
     def back_substitute(self, echelon: list, pivots: list) -> None:
-        """Clear the entries above each pivot of a reduced echelon form, in
-        place.
-
-        A reduced row is zero at every other pivot column, so subtracting
-        it from a row above leaves that row's other pivot entries
-        unchanged: each row's entries at the later pivot columns are read
-        once, up front.
-        """
-        later = [bytes(map(v.to_bytes(self.width, "little").__getitem__,
-                           pivots[i + 1:])) for i, v in enumerate(echelon)]
+        """As _Packing.back_substitute, with one in-place XOR per entry
+        cleared; the calls to add, reduce and key there made the F_16
+        eliminations of the sweep workload about 9% slower."""
+        later = [v.to_bytes(self.width, "little") for v in echelon]
         for j in range(len(echelon) - 1, 0, -1):
-            times = self.multiples(echelon[j])
+            times, col = self.multiples(echelon[j]), pivots[j]
             for i in range(j):
-                c = later[i][j - i - 1]
+                c = later[i][col]
                 if c:
                     echelon[i] ^= times[c]
 
-    def multiples(self, v: int) -> "_Multiples":
+    def multiples(self, v: int) -> _Products:
         """The map key(c) -> c * v, each product built on first use."""
         images = [v]
         for _ in range(self.e - 1):
             v = ((v & self.low) << 1) ^ \
                 (((v >> (self.e - 1)) & self.ones) * self.poly)
             images.append(v)
-        return _Multiples(images)
 
-    def pivot_multiples(self, v: int, col: int) -> "_Multiples":
+        def product(c):
+            w = 0
+            for k, image in enumerate(images):
+                if c >> k & 1:
+                    w ^= image
+            return w
+        return _Products(product)
+
+    def pivot_multiples(self, v: int, col: int) -> _Products:
         """The map key(c) -> -c * v / v[col], for a row v nonzero at col;
         here -c = c."""
         times = self.multiples(v)
@@ -99,19 +212,12 @@ class LaneRows:
         return times if lead == 1 else \
             self.multiples(times[self.fld.inv(lead)])
 
-
-class _Multiples(dict):
-    def __init__(self, images):
-        super().__init__()
-        self.images = images
-
-    def __missing__(self, c):
-        w = 0
-        for k, image in enumerate(self.images):
-            if c >> k & 1:
-                w ^= image
-        self[c] = w
-        return w
+    def weights(self, s: int, words):
+        """The weight of s + t for each word t: n minus its zero bytes."""
+        n = self.width
+        return map(n.__sub__, map(bytes.count, map(
+            int.to_bytes, map(s.__xor__, words), repeat(n), repeat("little")),
+            repeat(0)))
 
 
 @lru_cache(maxsize=None)
@@ -131,7 +237,7 @@ def _digit_tables(fld: FiniteField) -> tuple:
     return times, digits, places, keys, scales
 
 
-class DigitLanes:
+class DigitLanes(_Packing):
     """Rows of a fixed width over F_{p^e}, p odd, p <= 127 and p^e <= 256,
     packed one byte lane per F_p digit.
 
@@ -145,12 +251,17 @@ class DigitLanes:
     entry and adds the top digit times the negated low coefficients of the
     modulus; c * row is the sum of the lanewise products c_k * (x^k * row)
     over the digits c_k of c.
+
+    A word of a codeword sum is added as integers without reducing, each
+    lane staying congruent to its digit mod p, and is reduced before an
+    addition could take a lane past 255.
     """
 
+    add = staticmethod(int.__add__)
+
     def __init__(self, fld: FiniteField, width: int):
+        super().__init__(fld, width)
         p, e = fld.p, fld.e
-        self.fld = fld
-        self.width = width
         self.e = e
         self.nbytes = width * e
         self.bits = 8 * e  # per entry
@@ -162,6 +273,9 @@ class DigitLanes:
         # A reduced row takes this many additions of reduced rows before a
         # lane could pass 255.
         self.span = 255 // (p - 1) - 1
+        # Times the reduced lanes, lane j*e + e - 1 holds the sum of entry
+        # j's digits, at most e(p - 1) < 256.
+        self.digit_sum = int.from_bytes(b"\x01" * e, "little")
         if e > 1:
             self.low = int.from_bytes(
                 (b"\xff" * (e - 1) + b"\x00") * width, "little")
@@ -205,22 +319,6 @@ class DigitLanes:
                                .translate(mod), "little")
                 if (c := v >> shift & mask) else v for v in rows]
 
-    def back_substitute(self, echelon: list, pivots: list) -> None:
-        """Clear the entries above each pivot of a reduced echelon form, in
-        place, reading each row's later pivot entries once up front (see
-        LaneRows.back_substitute)."""
-        nbytes, mod, keys = self.nbytes, self.mod, self.keys
-        later = [bytes(map(self.unpack(v).__getitem__, pivots[i + 1:]))
-                 for i, v in enumerate(echelon)]
-        for j in range(len(echelon) - 1, 0, -1):
-            minus = self.pivot_multiples(echelon[j], pivots[j])
-            for i in range(j):
-                c = later[i][j - i - 1]
-                if c:
-                    echelon[i] = int.from_bytes(
-                        (echelon[i] + minus[keys[c]]).to_bytes(
-                            nbytes, "little").translate(mod), "little")
-
     def key(self, c: int) -> int:
         return self.keys[c]
 
@@ -228,7 +326,7 @@ class DigitLanes:
         """The column of the first nonzero entry of a nonzero row."""
         return (((v & -v).bit_length() - 1) >> 3) // self.e
 
-    def multiples(self, v: int) -> "_DigitMultiples":
+    def multiples(self, v: int) -> _Products:
         """The map key(c) -> c * v, each product built on first use.
 
         The images x^k * v are left unreduced: a lane of x^k * v is at most
@@ -240,49 +338,96 @@ class DigitLanes:
             v = ((v & self.low) << 8) + (v >> self.bits - 8 & self.top) * \
                 self.poly
             images.append(v)
-        return _DigitMultiples(self, [w.to_bytes(self.nbytes, "little")
-                                      for w in images])
+        images = [w.to_bytes(self.nbytes, "little") for w in images]
 
-    def pivot_multiples(self, v: int, col: int) -> "_DigitMultiples":
+        def product(c):
+            w = terms = 0
+            for image in images:
+                if c & 255:
+                    w += int.from_bytes(image.translate(self.times[c & 255]),
+                                        "little")
+                    terms += 1
+                c >>= 8
+            return self.reduce(w) if terms > 1 else w
+        return _Products(product)
+
+    def pivot_multiples(self, v: int, col: int) -> _Products:
         """The map key(c) -> -c * v / v[col], for a row v nonzero at col."""
         scale = self.scales[v >> col * self.bits & self.mask]
         if scale >> 8:
             return self.multiples(self.multiples(v)[scale])
         # A scalar in F_p multiplies every digit alike.
         u = v.to_bytes(self.nbytes, "little").translate(self.times[scale])
-        if self.e == 1:
-            return _DigitMultiples(self, [u])
         return self.multiples(int.from_bytes(u, "little"))
 
-
-class _DigitMultiples(dict):
-    def __init__(self, lanes: DigitLanes, images):
-        super().__init__()
-        self.lanes = lanes
-        self.images = images  # as bytes
-
-    def __missing__(self, key):
-        times = self.lanes.times
-        w = terms = 0
-        c = key
-        for image in self.images:
-            if c & 255:
-                w += int.from_bytes(image.translate(times[c & 255]), "little")
-                terms += 1
-            c >>= 8
-        if terms > 1:
-            w = self.lanes.reduce(w)
-        self[key] = w
-        return w
+    def weights(self, s: int, words):
+        """The weight of s + t for each word t: n minus the entries whose e
+        reduced digits are all zero."""
+        n = self.width
+        if self.e == 1:
+            return map(n.__sub__, map(bytes.count, map(bytes.translate, map(
+                int.to_bytes, map(s.__add__, words), repeat(n),
+                repeat("little")), repeat(self.mod)), repeat(0)))
+        e, nbytes, mod = self.e, self.nbytes, self.mod
+        return (n - (int.from_bytes((s + t).to_bytes(nbytes, "little")
+                                    .translate(mod), "little") *
+                     self.digit_sum).to_bytes(nbytes + e - 1, "little")
+                [e - 1::e].count(0) for t in words)
 
 
-def lanes_for(fld: FiniteField, width: int):
-    """The byte-lane packing of rows of the given width over fld: LaneRows
-    in characteristic 2, DigitLanes in odd characteristic.  None when an
-    entry does not fit, that is for order above 256, or for p from 131 to
+class EntryRows(_Packing):
+    """Rows of a fixed width over any field, as lists of entries scaled and
+    added through the field's per-entry mul and add.  For the fields whose
+    entries do not fit the byte lanes: order above 256, or p from 131 to
     251, where a sum of two reduced lanes can pass 255."""
+
+    def __init__(self, fld: FiniteField, width: int):
+        super().__init__(fld, width)
+        self.minus_one = fld.neg(1)
+        self.zero = [0] * width
+
+    pack = unpack = staticmethod(list)
+
+    @staticmethod
+    def lead(v: list) -> int:
+        """The column of the first nonzero entry of a nonzero row."""
+        return next(j for j, x in enumerate(v) if x)
+
+    def multiples(self, v: list) -> _Products:
+        """The map key(c) -> c * v, each product built on first use."""
+        return _Products(lambda c: self.fld.scale_row(c, v))
+
+    def pivot_multiples(self, v: list, col: int) -> _Products:
+        """The map key(c) -> -c * v / v[col], for a row v nonzero at col."""
+        fld = self.fld
+        return self.multiples(fld.scale_row(fld.neg(fld.inv(v[col])), v))
+
+    def sweep(self, rows, minus, col) -> list:
+        """Each row minus its entry at col times the pivot, for the map
+        minus that pivot_multiples gives.  The pivot row is zero left of
+        col, so only the entries from col on change."""
+        add = self.fld.add
+        return [u[:col] + list(map(add, u[col:], minus[u[col]][col:]))
+                if u[col] else u for u in rows]
+
+    def add(self, a: list, b: list) -> list:
+        return list(map(self.fld.add, a, b))
+
+    def weights(self, s: list, words):
+        """The weight of s + t for each word t."""
+        n = self.width
+        return (n - self.add(s, t).count(0) for t in words)
+
+
+def row_packing(fld: FiniteField, width: int) -> _Packing:
+    """How rows of the given width over fld are packed for elimination and
+    codeword sums: BitRows over F_2, LaneRows over F_4 ... F_256, DigitLanes
+    over odd fields of order at most 256 with p <= 127, and EntryRows over
+    every other field."""
+    if fld.order == 2:
+        return BitRows(fld, width)
     if fld.order > 256 or fld.p > 127:
-        return None
+        return EntryRows(fld, width)
     return LaneRows(fld, width) if fld.p == 2 else DigitLanes(fld, width)
 
 
@@ -294,74 +439,45 @@ def row_type(fld: FiniteField) -> type:
 
 
 def scale_rows(c: int, rows, fld: FiniteField, width: int) -> list:
-    """The rows c * row, in byte lanes when fld has them."""
-    lanes = lanes_for(fld, width)
-    if lanes is None:
-        return [fld.scale_row(c, row) for row in rows]
-    key = lanes.key(c)
-    return [lanes.unpack(lanes.multiples(lanes.pack(row))[key])
+    """The rows c * row."""
+    packing = row_packing(fld, width)
+    key = packing.key(c)
+    return [packing.unpack(packing.multiples(packing.pack(row))[key])
             for row in rows]
-
-
-def _rref_lanes(rows, lanes):
-    """Forward elimination over the rows grouped by leading column, then
-    back substitution; only rows with a nonzero entry are ever touched."""
-    by_lead = {}
-    for row in rows:
-        v = lanes.pack(row)
-        if v:
-            by_lead.setdefault(lanes.lead(v), []).append(v)
-    echelon, pivots = [], []
-    for col in range(lanes.width):
-        if not by_lead:
-            break
-        group = by_lead.pop(col, None)
-        if group is None:
-            continue
-        minus = lanes.pivot_multiples(group[0], col)
-        for v in lanes.sweep(group[1:], minus, col):
-            if v:
-                by_lead.setdefault(lanes.lead(v), []).append(v)
-        echelon.append(minus[lanes.minus_one])
-        pivots.append(col)
-    lanes.back_substitute(echelon, pivots)
-    return [lanes.unpack(v) for v in echelon], pivots
 
 
 def rref(rows, fld: FiniteField):
     """Reduced row-echelon form. Returns (nonzero rows, pivot columns).
 
-    Over fields whose entries fit byte lanes (lanes_for) the rows are packed
-    into ints; other fields go through the field's per-entry operations.
+    The rows are packed as row_packing gives, grouped by leading column and
+    eliminated forward, touching only the rows with a nonzero entry in the
+    pivot column, then substituted back.
     """
     rows = list(rows)
     if not rows:
         return [], []
-    ncols = len(rows[0])
-    lanes = lanes_for(fld, ncols)
-    if lanes is not None:
-        return _rref_lanes(rows, lanes)
-    rows = [list(r) for r in rows]
-    pivots = []
-    rank = 0
-    for col in range(ncols):
-        piv = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        prow = rows[rank]
-        if prow[col] != 1:
-            prow = fld.scale_row(fld.inv(prow[col]), prow)
-            rows[rank] = prow
-        tail = prow[col:]  # the pivot row is zero left of col
-        for r, row in enumerate(rows):
-            if r != rank and row[col]:
-                row[col:] = fld.sub_scaled_row(row[col:], row[col], tail)
-        pivots.append(col)
-        rank += 1
-        if rank == len(rows):
+    packing = row_packing(fld, len(rows[0]))
+    zero = packing.zero
+    by_lead = {}
+    for row in rows:
+        v = packing.pack(row)
+        if v != zero:
+            by_lead.setdefault(packing.lead(v), []).append(v)
+    echelon, pivots = [], []
+    for col in range(packing.width):
+        if not by_lead:
             break
-    return rows[:rank], pivots
+        group = by_lead.pop(col, None)
+        if group is None:
+            continue
+        minus = packing.pivot_multiples(group[0], col)
+        for v in packing.sweep(group[1:], minus, col):
+            if v != zero:
+                by_lead.setdefault(packing.lead(v), []).append(v)
+        echelon.append(minus[packing.minus_one])
+        pivots.append(col)
+    packing.back_substitute(echelon, pivots)
+    return [packing.unpack(v) for v in echelon], pivots
 
 
 def rank(rows, fld: FiniteField) -> int:
@@ -424,8 +540,7 @@ def kernel(code: LinearCode) -> LinearCode:
     basis, pivots = rref(code.generators, fld)
     pivot_set = set(pivots)
     free_cols = [c for c in range(n) if c not in pivot_set]
-    if fld.p != 2:  # -1 = 1 in characteristic 2
-        basis = scale_rows(fld.neg(1), basis, fld, n)
+    basis = scale_rows(fld.neg(1), basis, fld, n)
     out = []
     for fc in free_cols:
         vec = [0] * n
@@ -448,7 +563,7 @@ def matrix_product_is_zero(a_rows, b_rows, fld: FiniteField) -> bool:
         acc = [0] * len(b_rows)  # minus row ra of A * B^T
         for x, col in zip(ra, b_cols):
             if x:
-                acc = fld.sub_scaled_row(acc, x, col)
+                acc = [fld.sub(a, fld.mul(x, b)) for a, b in zip(acc, col)]
         if any(acc):
             return False
     return True

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 from .codes import build_code, check_duality, dual_weight, \
@@ -19,6 +19,7 @@ from .codes import build_code, check_duality, dual_weight, \
 from .curves import CurveSpec, make_curve
 from .distance import DEFAULT_BUDGET, BudgetExceeded, exact_min_distance_parity, \
     geil_bound, is_even_weight
+from .fields import FieldError, make_field
 from .linalg import LinearCode, row_space_basis
 from .subfield import subfield_subcode_of_ent, trace_span_dim
 
@@ -31,13 +32,6 @@ PUBLISHED_CLAIMS = {
     (2, 1, 4, 5, 60, 4): {"n": 48, "k": 43, "d": 3},
     (2, 1, 4, 5, 62, 4): {"n": 48, "k": 44, "d": 3},
 }
-
-REPORT_FIELDS = [
-    "p", "l", "r", "u", "n", "genus", "s", "t",
-    "dim_supercode", "dual_weight_used", "trace_dim_of_dual", "dim_subfield",
-    "geil_bound", "exact_distance", "distance_method", "even_weight",
-    "paper_claim_delta",
-]
 
 
 @dataclass(frozen=True)
@@ -70,6 +64,9 @@ class CodeReport:
     def from_json(text: str) -> "CodeReport":
         data = json.loads(text)
         return CodeReport(**{f: data[f] for f in REPORT_FIELDS})
+
+
+REPORT_FIELDS = [f.name for f in fields(CodeReport)]
 
 
 def check_routes_agree(dim_oracle: int, dim_delsarte: int) -> None:
@@ -235,22 +232,31 @@ def export_matrix(code: LinearCode, path) -> None:
 
 
 def import_matrix(path) -> LinearCode:
-    """Inverse of export_matrix; re-canonicalizes and validates entries."""
-    from .fields import make_field
+    """Inverse of export_matrix; re-canonicalizes and validates entries.
+
+    A file that is not such a matrix raises CacheError naming the file and
+    the fault.
+    """
     tokens = Path(path).read_text().split()
     try:
         p, e, rows, cols, *vals = map(int, tokens)
     except ValueError as exc:
         raise CacheError(f"{path}: expected a `p e rows cols` header and "
                          f"integer entries ({exc})") from None
-    fld = make_field(p, e)
-    if len(vals) != rows * cols:
-        raise CacheError(f"expected {rows * cols} entries, got {len(vals)}")
-    for v in vals:
-        fld.check(v)
+    if rows < 0 or cols < 1:
+        raise CacheError(f"{path}: header gives a {rows} x {cols} matrix")
+    try:
+        fld = make_field(p, e)
+        if len(vals) != rows * cols:
+            raise CacheError(f"{path}: expected {rows * cols} entries, "
+                             f"got {len(vals)}")
+        for v in vals:
+            fld.check(v)
+    except FieldError as exc:
+        raise CacheError(f"{path}: {exc}") from None
     mat = [vals[i * cols:(i + 1) * cols] for i in range(rows)]
     code = row_space_basis(mat, fld, n=cols) if rows else \
         LinearCode(fld, cols, ())
     if code.k != rows:
-        raise CacheError("imported rows are not independent")
+        raise CacheError(f"{path}: imported rows are not independent")
     return code

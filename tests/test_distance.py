@@ -1,6 +1,6 @@
 import random
 import tracemalloc
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
@@ -133,6 +133,19 @@ def exhaustive_distance(code):
     return exhaustive_enum_generic(code)[0]
 
 
+def exhaustive_projective_distance(code):
+    """The least weight of the words whose message has first nonzero
+    coefficient 1; every nonzero codeword is a multiple of one of them."""
+    q, k = code.field.order, code.k
+    return min(sum(1 for x in code.codeword((0,) * i + (1,) + tail) if x)
+               for i in range(k)
+               for tail in product(range(q), repeat=k - 1 - i))
+
+
+# Fields whose rows are lists of entries (linalg.EntryRows).
+ENTRY_FIELDS = [(131, 1), (2, 9), (3, 6)]
+
+
 def distance_test_codes(rng, fld):
     """Random codes of length at most 14, and the shapes that exercise the
     information sets: k = 1, k = n, a zero column, repeated columns, and a
@@ -162,16 +175,25 @@ def distance_test_codes(rng, fld):
 
 def test_oracles_agree_on_random_codes():
     rng = random.Random(79)
-    for p, e in [(2, 1), (3, 1), (2, 2), (5, 1), (3, 2), (2, 4)]:
-        fld = make_field(p, e)
-        for c in distance_test_codes(rng, fld):
-            if c.k == 0:
-                continue
-            res = exact_min_distance_enum(c)
-            d = exhaustive_distance(c)
-            assert res.exact == d == exact_min_distance_parity(c).exact
-            assert sum(1 for v in res.witness if v) == d
-            assert c.contains(res.witness)
+    cases = [(c, exhaustive_distance)
+             for p, e in [(2, 1), (3, 1), (2, 2), (5, 1), (3, 2), (2, 4)]
+             for c in distance_test_codes(rng, make_field(p, e))]
+    # Codes of length at most 6 and dimension at most 2 over the fields
+    # whose rows are lists of entries.
+    for p, e in ENTRY_FIELDS:
+        for _ in range(6):
+            n = rng.randrange(2, 7)
+            cases.append((random_code(rng, make_field(p, e), n,
+                                      rng.randrange(1, 3)),
+                          exhaustive_projective_distance))
+    for c, reference in cases:
+        if c.k == 0:
+            continue
+        res = exact_min_distance_enum(c)
+        d = reference(c)
+        assert res.exact == d == exact_min_distance_parity(c).exact
+        assert sum(1 for v in res.witness if v) == d
+        assert c.contains(res.witness)
 
 
 def test_enum_prime_lanes_reduce_before_overflow():
@@ -293,12 +315,17 @@ def first_dependent_set_bruteforce(code):
 
 def test_parity_first_dependent_set_matches_bruteforce():
     rng = random.Random(97)
-    for p, e in [(2, 1), (3, 1), (2, 2), (5, 1), (3, 2), (2, 4)]:
+    for p, e in [(2, 1), (3, 1), (2, 2), (5, 1), (3, 2), (2, 4)] + \
+            ENTRY_FIELDS:
         fld = make_field(p, e)
         codes = []
         for _ in range(4):
-            n = rng.randrange(4, 13)
-            codes.append(random_code(rng, fld, n, rng.randrange(1, n)))
+            if (p, e) in ENTRY_FIELDS:  # length at most 6, k at most 2
+                n = rng.randrange(3, 7)
+                codes.append(random_code(rng, fld, n, rng.randrange(1, 3)))
+            else:
+                n = rng.randrange(4, 13)
+                codes.append(random_code(rng, fld, n, rng.randrange(1, n)))
         # parity-check matrices with nonzero columns, except a zero
         # column 5 in one and column 7 a multiple of column 2 in the other
         n = 9

@@ -3,9 +3,9 @@ import random
 import pytest
 
 from normtrace.fields import make_field
-from normtrace.linalg import (DigitLanes, LaneRows, LinearCode, kernel,
-                              lanes_for, matrix_product_is_zero,
-                              row_space_basis, rref)
+from normtrace.linalg import (BitRows, DigitLanes, EntryRows, LaneRows,
+                              LinearCode, kernel, matrix_product_is_zero,
+                              row_packing, row_space_basis, rref)
 
 F2 = make_field(2, 1)
 F4 = make_field(2, 2)
@@ -94,8 +94,14 @@ def reference_rref(rows, fld):
     return rows[:rank], pivots
 
 
-# Orders up to 256 with p <= 127 take byte lanes; F_131 and F_729 take the
-# per-entry fallback.
+# The packing each test field gets: bits over F_2, byte lanes over the
+# other fields of order up to 256 with p <= 127, lists of entries above.
+PACKING = {(2, 1): BitRows, **{(2, e): LaneRows for e in range(2, 9)},
+           **{(p, e): DigitLanes for p, e in [
+               (3, 1), (5, 1), (7, 1), (3, 2), (5, 2), (3, 3), (7, 2),
+               (11, 2), (5, 3), (3, 5), (127, 1)]},
+           (131, 1): EntryRows, (2, 9): EntryRows, (3, 6): EntryRows}
+
 KERNEL_FIELDS = [(2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2), (5, 2),
                  (3, 3), (3, 6), (131, 1)]
 
@@ -121,32 +127,40 @@ def test_rref_matches_per_entry_reference():
     rng = random.Random(59)
     for p, e in KERNEL_FIELDS:
         fld = make_field(p, e)
-        assert (lanes_for(fld, 4) is None) == (fld.order in (131, 729))
+        assert type(row_packing(fld, 4)) is PACKING[p, e]
         for rows in kernel_matrices(rng, fld):
             expect = reference_rref(rows, fld)
             assert rref(rows, fld) == expect
             assert rref([tuple(r) for r in rows], fld) == expect
 
 
-# F_2 ... F_256 in LaneRows; F_3 ... F_243 in DigitLanes, with one to five
-# digits per entry and p up to 127.
-LANE_FIELDS = [make_field(2, e) for e in range(1, 9)] + [
-    make_field(p, e) for p, e in [(3, 1), (5, 1), (7, 1), (3, 2), (5, 2),
-                                  (3, 3), (7, 2), (11, 2), (5, 3), (3, 5),
-                                  (127, 1)]]
+# Every packing: F_2 in BitRows, F_4 ... F_256 in LaneRows, F_3 ... F_243
+# in DigitLanes with one to five digits per entry and p up to 127, and
+# F_131, F_512 and F_729 in EntryRows.
+LANE_FIELDS = [make_field(p, e) for p, e in PACKING]
 
 
 @pytest.mark.parametrize("fld", LANE_FIELDS, ids=repr)
 def test_lane_multiples_match_field_products(fld):
     row = list(fld.elements())
-    lanes = lanes_for(fld, len(row))
-    assert isinstance(lanes, LaneRows if fld.p == 2 else DigitLanes)
-    v = lanes.pack(row)
-    assert lanes.unpack(v) == row
-    times = lanes.multiples(v)
+    packing = row_packing(fld, len(row))
+    assert type(packing) is PACKING[fld.p, fld.e]
+    v = packing.pack(row)
+    assert packing.unpack(v) == row
+    times = packing.multiples(v)
     for c in fld.elements():
-        assert lanes.unpack(times[lanes.key(c)]) == [fld.mul(c, v)
-                                                     for v in row]
+        assert packing.unpack(times[packing.key(c)]) == [fld.mul(c, v)
+                                                         for v in row]
+    # Sums and weights: row plus a random row, plus -row and plus zero.
+    rng = random.Random(fld.order)
+    others = [[rng.randrange(fld.order) for _ in row],
+              [fld.neg(v) for v in row], [0] * len(row)]
+    words = [packing.pack(other) for other in others]
+    sums = [[fld.add(a, b) for a, b in zip(row, other)] for other in others]
+    assert [packing.unpack(packing.reduce(packing.add(v, t)))
+            for t in words] == sums
+    assert list(packing.weights(v, words)) == [
+        len(row) - total.count(0) for total in sums]
 
 
 def lane_matrices(rng, fld, width):
@@ -175,7 +189,8 @@ def test_lane_rref_matches_per_entry_reference(fld):
             expect = reference_rref(rows, fld)
             assert rref(rows, fld) == expect
             assert rref([tuple(r) for r in rows], fld) == expect
-            assert rref([bytes(r) for r in rows], fld) == expect
+            if fld.order <= 256:
+                assert rref([bytes(r) for r in rows], fld) == expect
 
 
 def test_product_check_matches_per_entry_reference():

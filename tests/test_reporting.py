@@ -110,13 +110,24 @@ def test_cache_truncated_line_names_the_line(tmp_path):
         read_cache(cache)
 
 
-@pytest.mark.parametrize("text", ["2 1\n", "2 1 x 4\n"],
-                         ids=["short", "non-numeric"])
-def test_import_matrix_malformed_header(tmp_path, text):
+@pytest.mark.parametrize("text, fault", [
+    ("2 1\n", "header"),
+    ("2 1 x 4\n", "header"),
+    ("2 1 1 3\n0 1 2\n", "2 is not an element"),
+    ("4 1 1 2\n", "characteristic 4 is not prime"),
+    ("2 0 1 2\n", "extension degree must be >= 1"),
+    ("2 1 -1 2\n", "a -1 x 2 matrix"),
+    ("1000000000000000003 1 1 1\n0\n", "exceeds cap"),
+    ("3 1000000000 1 1\n0\n", "exceeds cap"),
+], ids=["short", "non-numeric", "entry-out-of-range", "non-prime",
+        "degree-zero", "negative-rows", "huge-characteristic", "huge-degree"])
+def test_import_matrix_malformed_header(tmp_path, text, fault):
     path = tmp_path / "m.txt"
     path.write_text(text)
-    with pytest.raises(CacheError, match="header"):
+    with pytest.raises(CacheError) as info:
         import_matrix(path)
+    assert str(info.value).startswith(f"{path}: ")
+    assert fault in str(info.value)
 
 
 def test_export_import_round_trip(tmp_path):
