@@ -6,7 +6,10 @@ exact algorithms are mutually independent:
 * information-set enumeration (Brouwer-Zimmermann), which visits codewords
   by their weight on disjoint information sets and stops when a lower bound
   on the words not yet visited reaches the lightest word seen, and
-* smallest-dependent-set search on parity-check columns.
+* smallest-dependent-set search on parity-check columns, depth first,
+  where each prefix is eliminated once and the last column of a subset is
+  found by a lookup of the reduced columns' classes under scaling, so a
+  level of w-subsets of n columns costs O(n^(w-1)) row operations.
 
 Both take explicit work budgets; exceeding a budget raises, it never
 silently truncates, and the error carries the distance bracket reached.
@@ -261,16 +264,24 @@ def _first_dependent_set(cols, w, fld, spent, budget):
     later column reduced against the echelon basis of its prefix, so the
     elimination of a prefix is done once and shared by every subset that
     extends it: choosing the next column costs one row operation per later
-    column.  A leaf is dependent when its column reduces to zero.  The
-    caller has found no dependent set smaller than w, so a prefix column
-    that reduces to zero is an internal error.
+    column.  The last column needs no elimination.  Below a node of depth
+    w - 2 with reduced columns v_0, v_1, ..., the subset that adds v_i and
+    then v_j (i < j) is dependent exactly when v_j is zero or a multiple of
+    v_i.  So one pass keys each reduced column by its monic multiple (the
+    packing's `monic`), and the first dependent leaf under v_i is the next
+    zero column or the next column in v_i's class.  A level costs
+    O(n^(w-1)) row operations.  The caller has found no dependent set
+    smaller than w, so a prefix column that reduces to zero is an internal
+    error.
 
-    Every node visited, prefix or leaf, counts one against the budget; the
-    search raises BudgetExceeded once the budget is used up.
+    Every node, prefix or leaf, counts one against the budget, in the
+    order a depth-first walk visits them; the walk stops at the first
+    dependent leaf, so the leaves after it are not counted.  The search
+    raises BudgetExceeded once the budget is used up.
     """
     packing = row_packing(fld, len(cols[0]))
     cols = [packing.pack(c) for c in cols]
-    zero, eliminate = packing.zero, packing.eliminate
+    zero, eliminate, monic = packing.zero, packing.eliminate, packing.monic
 
     def exceeded():
         return BudgetExceeded(
@@ -278,21 +289,54 @@ def _first_dependent_set(cols, w, fld, spent, budget):
             f"{budget} column subsets: d in [{w}, ?]",
             spent=spent, budget=budget, lower=w, upper=None)
 
+    def last_pair(start, reduced):
+        # The node at depth w - 2.  Its candidates i < size - 1 each cost
+        # one, and the leaves under i cost one each up to the first
+        # dependent one, or all size - i - 1 of them.
+        nonlocal spent
+        size = len(reduced)
+        if size < 2:
+            return None
+        # The first candidate that is zero or has a dependent leaf: a zero
+        # column is a dependent leaf under every candidate before it.
+        first = size - 1
+        if zero in reduced:
+            first = 0
+        else:
+            keys = list(map(monic, reduced))
+            if len(set(keys)) < size:
+                seen = {}
+                first = min(seen[key] for j, key in enumerate(keys)
+                            if seen.setdefault(key, j) != j)
+        # The candidates before it cost size - i each.
+        cost = first * size - first * (first - 1) // 2
+        if cost > budget - spent:
+            spent = budget
+            raise exceeded()
+        spent += cost
+        if first == size - 1:
+            return None
+        if spent == budget:
+            raise exceeded()
+        spent += 1
+        v = reduced[first]
+        if v == zero:
+            raise AssertionError(
+                f"a set of {w - 1} columns is dependent at level {w}")
+        key = monic(v)
+        k = next(j for j in range(first + 1, size)
+                 if reduced[j] == zero or monic(reduced[j]) == key)
+        if k - first > budget - spent:
+            spent = budget
+            raise exceeded()
+        spent += k - first
+        return start + first, start + k
+
     def search(start, reduced, depth):
         # reduced[i] is column start + i reduced against the prefix.
         nonlocal spent
-        if depth == w - 1:
-            room = budget - spent
-            try:
-                i = reduced.index(zero, 0, room)
-            except ValueError:
-                if len(reduced) > room:
-                    spent = budget
-                    raise exceeded() from None
-                spent += len(reduced)
-                return None
-            spent += i + 1
-            return (start + i,)
+        if depth == w - 2:
+            return last_pair(start, reduced)
         for i in range(len(reduced) - (w - 1 - depth)):
             if spent == budget:
                 raise exceeded()
@@ -307,7 +351,18 @@ def _first_dependent_set(cols, w, fld, spent, budget):
                 return (start + i,) + found
         return None
 
-    return search(0, cols, 0), spent
+    if w > 1:
+        return search(0, cols, 0), spent
+    # Level 1: the leaves are the columns themselves.
+    room = budget - spent
+    try:
+        i = cols.index(zero, 0, room)
+    except ValueError:
+        if len(cols) > room:
+            spent = budget
+            raise exceeded() from None
+        return None, spent + len(cols)
+    return (i,), spent + i + 1
 
 
 def _dependence_witness(cols, idxs, n, fld):

@@ -28,7 +28,9 @@ class _Packing:
     """What the packings share.  `span` is how many additions a reduced
     word takes before it must be reduced again; None when adding never
     leaves a word unreduced, so that `reduce` is the identity.  `key` maps
-    a scalar to its key in the maps that multiples gives."""
+    a scalar to its key in the maps that multiples gives.  `monic` scales a
+    nonzero row so that its first nonzero entry is 1, so two nonzero rows
+    are multiples of each other exactly when their monic rows are equal."""
 
     span = None
     zero = 0
@@ -114,6 +116,12 @@ class BitRows(_Packing):
         return 0, v
 
     @staticmethod
+    def monic(v: int) -> int:
+        """A nonzero row scaled so that its first nonzero entry is 1: the
+        row itself."""
+        return v
+
+    @staticmethod
     def pivot_multiples(v: int, col: int) -> tuple:
         """The map key(c) -> -c * v / v[col]; here v[col] = 1 = -1."""
         return 0, v
@@ -188,12 +196,16 @@ class LaneRows(_Packing):
                 if c:
                     echelon[i] ^= times[c]
 
+    def _times_x(self, v: int) -> int:
+        """The row x * v."""
+        return ((v & self.low) << 1) ^ \
+            (((v >> (self.e - 1)) & self.ones) * self.poly)
+
     def multiples(self, v: int) -> _Products:
         """The map key(c) -> c * v, each product built on first use."""
         images = [v]
         for _ in range(self.e - 1):
-            v = ((v & self.low) << 1) ^ \
-                (((v >> (self.e - 1)) & self.ones) * self.poly)
+            v = self._times_x(v)
             images.append(v)
 
         def product(c):
@@ -203,6 +215,18 @@ class LaneRows(_Packing):
                     w ^= image
             return w
         return _Products(product)
+
+    def monic(self, v: int) -> int:
+        """A nonzero row scaled so that its first nonzero entry is 1: the
+        XOR of the images x^k * v over the bits k of that entry's
+        inverse."""
+        c = self.fld.inv(v >> (self.lead(v) << 3) & 255)
+        w = v if c & 1 else 0
+        while c := c >> 1:
+            v = self._times_x(v)
+            if c & 1:
+                w ^= v
+        return w
 
     def pivot_multiples(self, v: int, col: int) -> _Products:
         """The map key(c) -> -c * v / v[col], for a row v nonzero at col;
@@ -224,8 +248,8 @@ class LaneRows(_Packing):
 def _digit_tables(fld: FiniteField) -> tuple:
     """Tables for DigitLanes over fld = F_{p^e}: times[c] maps a byte b to
     c * b mod p (so times[1] reduces a lane), digits[i] maps an element to
-    its digit i, places[i] maps a digit d to d * p^i, and scales maps the
-    key of each nonzero c to the key of -1/c."""
+    its digit i, places[i] maps a digit d to d * p^i, scales maps the key
+    of each nonzero c to the key of -1/c, and inverses to the key of 1/c."""
     p, e, q = fld.p, fld.e, fld.order
     times = [bytes(c * b % p for b in range(256)) for c in range(p)]
     digits = [bytes(b // p ** i % p if b < q else 0 for b in range(256))
@@ -234,7 +258,8 @@ def _digit_tables(fld: FiniteField) -> tuple:
               for i in range(e)]
     keys = [int.from_bytes(bytes(fld.coeffs(c)), "little") for c in range(q)]
     scales = {keys[c]: keys[fld.neg(fld.inv(c))] for c in range(1, q)}
-    return times, digits, places, keys, scales
+    inverses = {keys[c]: keys[fld.inv(c)] for c in range(1, q)}
+    return times, digits, places, keys, scales, inverses
 
 
 class DigitLanes(_Packing):
@@ -267,8 +292,8 @@ class DigitLanes(_Packing):
         self.bits = 8 * e  # per entry
         self.mask = (1 << self.bits) - 1
         self.minus_one = p - 1
-        self.times, self.digits, self.places, self.keys, self.scales = \
-            _digit_tables(fld)
+        self.times, self.digits, self.places, self.keys, self.scales, \
+            self.inverses = _digit_tables(fld)
         self.mod = self.times[1]
         # A reduced row takes this many additions of reduced rows before a
         # lane could pass 255.
@@ -351,6 +376,11 @@ class DigitLanes(_Packing):
             return self.reduce(w) if terms > 1 else w
         return _Products(product)
 
+    def monic(self, v: int) -> int:
+        """A nonzero row scaled so that its first nonzero entry is 1."""
+        return self.multiples(v)[
+            self.inverses[v >> self.lead(v) * self.bits & self.mask]]
+
     def pivot_multiples(self, v: int, col: int) -> _Products:
         """The map key(c) -> -c * v / v[col], for a row v nonzero at col."""
         scale = self.scales[v >> col * self.bits & self.mask]
@@ -401,6 +431,12 @@ class EntryRows(_Packing):
         """The map key(c) -> -c * v / v[col], for a row v nonzero at col."""
         fld = self.fld
         return self.multiples(fld.scale_row(fld.neg(fld.inv(v[col])), v))
+
+    def monic(self, v: list) -> tuple:
+        """A nonzero row scaled so that its first nonzero entry is 1, as a
+        tuple."""
+        fld = self.fld
+        return tuple(fld.scale_row(fld.inv(v[self.lead(v)]), v))
 
     def sweep(self, rows, minus, col) -> list:
         """Each row minus its entry at col times the pivot, for the map

@@ -182,26 +182,31 @@ def sweep(p: int, l: int, r: int, u: int, s_values, t: int,
           budget: int = DEFAULT_BUDGET) -> list:
     """One report per s, appending new records to the JSON-lines cache.
 
-    Cached keys are skipped unless force=True (recomputed records then
-    replace the cache file wholesale to keep keys unique, through a temp
-    file in the same directory and os.replace, so a failed rewrite leaves
-    the old cache as it was).
+    A cached record is served unless force=True, or unless it has no exact
+    distance and the request asks for one (exact is not False).  Records
+    recomputed for a cached key replace the cache file wholesale to keep
+    keys unique, through a temp file in the same directory and os.replace,
+    so a failed rewrite leaves the old cache as it was.
     """
     cached = read_cache(cache_path) if cache_path else {}
     results = []
     fresh = []
+    rewrite = force
     for s in s_values:
         key = (p, l, r, u, s, t)
-        if not force and key in cached:
-            results.append(cached[key])
+        rep = cached.get(key)
+        if rep is not None and not force and (
+                exact is False or rep.exact_distance is not None):
+            results.append(rep)
             continue
+        rewrite = rewrite or rep is not None
         rep = run_report(p, l, r, u, s, t, exact=exact, budget=budget)
         results.append(rep)
         fresh.append(rep)
         cached[key] = rep
     if cache_path and fresh:
         path = Path(cache_path)
-        if force:
+        if rewrite:
             tmp = path.with_name(f".{path.name}.{os.getpid()}."
                                  f"{os.urandom(4).hex()}.tmp")
             fh = tmp.open("x")

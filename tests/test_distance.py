@@ -5,13 +5,14 @@ from itertools import combinations, product
 import pytest
 
 from normtrace.curves import make_curve
-from normtrace.distance import (BudgetExceeded, _information_sets,
+from normtrace.distance import (BudgetExceeded, _columns,
+                                _first_dependent_set, _information_sets,
                                 exact_min_distance_enum,
                                 exact_min_distance_parity, geil_bound,
                                 is_even_weight)
 from normtrace.fields import FieldError, make_field
 from normtrace.linalg import (DigitLanes, LinearCode, kernel, rank,
-                              row_space_basis)
+                              row_packing, row_space_basis)
 from normtrace.monomials import footprint, footprint_paper_variant, weight
 from normtrace.subfield import subfield_subcode_of_ent
 
@@ -351,6 +352,140 @@ def test_parity_first_dependent_set_matches_bruteforce():
         assert exact_min_distance_parity(codes[-3]).exact == 1
         assert exact_min_distance_parity(codes[-2]).exact == 2
         assert exact_min_distance_parity(codes[-1]).exact == 1
+
+
+def first_dependent_set_by_elimination(cols, w, fld, spent, budget):
+    """_first_dependent_set as it was before the last level became a class
+    lookup: every leaf column is eliminated against the last prefix column,
+    and a leaf is dependent when it reduces to zero."""
+    packing = row_packing(fld, len(cols[0]))
+    cols = [packing.pack(c) for c in cols]
+    zero, eliminate = packing.zero, packing.eliminate
+
+    def exceeded():
+        return BudgetExceeded(
+            f"parity search stopped at level w={w} after {spent} of "
+            f"{budget} column subsets: d in [{w}, ?]",
+            spent=spent, budget=budget, lower=w, upper=None)
+
+    def search(start, reduced, depth):
+        nonlocal spent
+        if depth == w - 1:
+            room = budget - spent
+            try:
+                i = reduced.index(zero, 0, room)
+            except ValueError:
+                if len(reduced) > room:
+                    spent = budget
+                    raise exceeded() from None
+                spent += len(reduced)
+                return None
+            spent += i + 1
+            return (start + i,)
+        for i in range(len(reduced) - (w - 1 - depth)):
+            if spent == budget:
+                raise exceeded()
+            spent += 1
+            v = reduced[i]
+            if v == zero:
+                raise AssertionError(
+                    f"a set of {depth + 1} columns is dependent at level {w}")
+            found = search(start + i + 1, eliminate(v, reduced[i + 1:]),
+                           depth + 1)
+            if found is not None:
+                return (start + i,) + found
+        return None
+
+    return search(0, cols, 0), spent
+
+
+def dependent_set_outcome(search, cols, w, fld, spent, budget):
+    """What one level of a search returns or raises, as comparable data."""
+    try:
+        return "found", search(cols, w, fld, spent, budget)
+    except BudgetExceeded as exc:
+        return "budget", str(exc), exc.spent, exc.budget, exc.lower, exc.upper
+    except AssertionError as exc:
+        return "dependent prefix", str(exc)
+
+
+def shaped_columns(rng, fld, n):
+    """Random nonzero columns of height 4, and copies with a zero column or
+    with two parallel columns, first or further on."""
+    q = fld.order
+    cols = [[rng.randrange(q) for _ in range(4)] for _ in range(n)]
+    for col in cols:
+        if not any(col):
+            col[0] = 1
+    yield cols
+    for j in (0, 5):
+        yield cols[:j] + [[0] * 4] + cols[j + 1:]
+    for i, j in ((0, 1), (2, 7)):
+        c = rng.randrange(1, q)
+        yield cols[:j] + [fld.scale_row(c, cols[i])] + cols[j + 1:]
+
+
+# F_2 in bits, F_4 and F_16 in byte lanes, F_3 and F_9 in digit lanes, and
+# F_131 and F_512 as lists of entries.
+LOOKUP_FIELDS = [(2, 1), (3, 1), (2, 2), (3, 2), (2, 4), (131, 1), (2, 9)]
+
+
+def test_last_level_lookup_matches_elimination_on_codes():
+    # Level by level, as exact_min_distance_parity runs them.
+    rng = random.Random(103)
+    for p, e in LOOKUP_FIELDS:
+        fld = make_field(p, e)
+        for _ in range(5):
+            n = rng.randrange(4, 7 if fld.order > 127 else 11)
+            code = random_code(rng, fld, n, rng.randrange(1, n))
+            hrows = kernel(code).generators
+            if not hrows:
+                continue
+            cols = _columns(hrows, n)
+            spent = 0
+            for w in range(1, n + 1):
+                found, after = _first_dependent_set(cols, w, fld, spent,
+                                                    1 << 40)
+                assert (found, after) == first_dependent_set_by_elimination(
+                    cols, w, fld, spent, 1 << 40), (fld, w)
+                # Every budget that stops inside this level, or just
+                # lets it finish.
+                for budget in range(spent, after + 2):
+                    assert dependent_set_outcome(
+                        _first_dependent_set, cols, w, fld, spent,
+                        budget) == dependent_set_outcome(
+                        first_dependent_set_by_elimination, cols, w, fld,
+                        spent, budget), (fld, w, budget)
+                spent = after
+                if found is not None:
+                    break
+
+
+def test_last_level_lookup_matches_elimination_on_shaped_columns():
+    # Zero and parallel columns make dependent leaves under every prefix,
+    # and dependent prefixes once they come first.
+    rng = random.Random(107)
+    outcomes = set()
+    for p, e in LOOKUP_FIELDS:
+        fld = make_field(p, e)
+        for cols in shaped_columns(rng, fld, 9):
+            for w in range(1, 5):
+                full = dependent_set_outcome(
+                    first_dependent_set_by_elimination, cols, w, fld, 3,
+                    1 << 40)
+                assert dependent_set_outcome(
+                    _first_dependent_set, cols, w, fld, 3, 1 << 40) == full
+                # Up to one past the budget the level takes, or past the
+                # dependent prefix.
+                last = full[1][1] if full[0] == "found" else 30
+                for budget in range(3, last + 2):
+                    outcome = dependent_set_outcome(
+                        _first_dependent_set, cols, w, fld, 3, budget)
+                    assert outcome == dependent_set_outcome(
+                        first_dependent_set_by_elimination, cols, w, fld, 3,
+                        budget), (fld, w, budget)
+                    outcomes.add(outcome[0])
+    assert outcomes == {"found", "budget", "dependent prefix"}
 
 
 def test_zero_code_rejected():

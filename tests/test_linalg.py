@@ -163,6 +163,30 @@ def test_lane_multiples_match_field_products(fld):
         len(row) - total.count(0) for total in sums]
 
 
+@pytest.mark.parametrize("fld", LANE_FIELDS, ids=repr)
+def test_monic_matches_per_entry_scaling(fld):
+    rng = random.Random(fld.order + 1)
+    for width in (1, 8, 129):
+        packing = row_packing(fld, width)
+        assert type(packing) is PACKING[fld.p, fld.e]
+        rows = [[rng.randrange(fld.order) for _ in range(width)]
+                for _ in range(4)]
+        # Leads in the first column, and a lead in the last column.
+        rows += [[rng.randrange(1, fld.order)] + row[1:] for row in rows]
+        rows.append([0] * (width - 1) + [fld.order - 1])
+        for row in rows:
+            if not any(row):
+                continue
+            lead = next(x for x in row if x)
+            key = packing.monic(packing.pack(row))
+            assert packing.unpack(key) == [fld.mul(fld.inv(lead), x)
+                                           for x in row]
+            # Every nonzero multiple of the row has the same key.
+            c = rng.randrange(1, fld.order)
+            assert packing.monic(packing.pack(fld.scale_row(c, row))) == key
+            hash(key)
+
+
 def lane_matrices(rng, fld, width):
     def rand(nrows, density=1.0):
         return [[rng.randrange(fld.order) if rng.random() < density else 0

@@ -53,6 +53,28 @@ def test_sweep_cache(tmp_path):
     assert len(read_cache(cache)) == 7
 
 
+def test_sweep_cache_serves_no_weaker_result(tmp_path):
+    cache = tmp_path / "cache.jsonl"
+    [rep] = sweep(2, 1, 4, 3, [36], 2, cache_path=cache, exact=False)
+    assert rep.exact_distance is None
+    # It serves a request that skips the distance.
+    before = cache.read_bytes()
+    assert sweep(2, 1, 4, 3, [36], 2, cache_path=cache,
+                 exact=False) == [rep]
+    assert cache.read_bytes() == before
+    # A request for the distance recomputes the record and rewrites it.
+    [rep] = sweep(2, 1, 4, 3, [36], 2, cache_path=cache, exact=True)
+    assert rep.exact_distance == 4
+    assert cache.read_text() == rep.to_json() + "\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["cache.jsonl"]
+    # The exact record serves both kinds of request.
+    before = cache.read_bytes()
+    for exact in (False, None, True):
+        assert sweep(2, 1, 4, 3, [36], 2, cache_path=cache,
+                     exact=exact) == [rep]
+    assert cache.read_bytes() == before
+
+
 def test_sweep_force_rewrites_cache(tmp_path):
     cache = tmp_path / "cache.jsonl"
     reports = sweep(2, 1, 4, 3, range(0, 3), 2, cache_path=cache)
