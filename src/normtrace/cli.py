@@ -51,13 +51,15 @@ def _add_command(sub, name, summary, *options):
 
 
 def _weight_range(text: str) -> tuple:
-    """An inclusive range of weights written A:B."""
+    """An inclusive range of weights written A:B, with A <= B."""
     lo, _, hi = text.partition(":")
     try:
-        return int(lo), int(hi)
+        if int(lo) <= int(hi):
+            return int(lo), int(hi)
     except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected A:B with integers A and B, got {text!r}") from None
+        pass
+    raise argparse.ArgumentTypeError(
+        f"expected A:B with integers A <= B, got {text!r}")
 
 
 def _emit(args, data: dict):

@@ -26,7 +26,8 @@ from math import comb
 
 from .curves import CurveSpec
 from .fields import FieldError
-from .linalg import LinearCode, kernel, row_packing, rref
+from .linalg import LinearCode, kernel, parity_check_rows, row_packing, \
+    row_space_basis, rref
 from .monomials import footprint, footprint_paper_variant, weight
 
 DEFAULT_BUDGET = 1 << 26
@@ -367,9 +368,7 @@ def _first_dependent_set(cols, w, fld, spent, budget):
 
 def _dependence_witness(cols, idxs, n, fld):
     """A codeword supported on the dependent columns (nullspace vector)."""
-    sub_rows = [list(r) for r in zip(*[cols[i] for i in idxs])]
-    basis, _ = rref(sub_rows, fld)
-    sub = LinearCode(fld, len(idxs), basis)
+    sub = row_space_basis(zip(*[cols[i] for i in idxs]), fld, len(idxs))
     coeffs = kernel(sub).generators[0]
     word = [0] * n
     for i, c in zip(idxs, coeffs):
@@ -381,16 +380,17 @@ def exact_min_distance_parity(code: LinearCode,
                               budget: int = DEFAULT_BUDGET) -> DistanceResult:
     """Exact minimum distance as the smallest dependent parity-column set.
 
-    Level w searches the w-subsets of columns in lexicographic order and
-    returns the first dependent one.  The budget counts the column subsets
-    visited over all levels, prefixes included (see _first_dependent_set).
+    The columns are those of linalg.parity_check_rows: which sets of them
+    are dependent does not depend on the rows of the dual.  Level w searches
+    the w-subsets of columns in lexicographic order and returns the first
+    dependent one.  The budget counts the column subsets visited over all
+    levels, prefixes included (see _first_dependent_set).
     """
     if code.k == 0:
         raise ValueError("the zero code has no minimum distance")
     fld = code.field
     n = code.n
-    dual = kernel(code)
-    hrows = [list(r) for r in dual.generators]
+    hrows = parity_check_rows(code)
     if not hrows:
         # Full space: any single column is "dependent" (no constraints).
         word = tuple(1 if i == 0 else 0 for i in range(n))

@@ -1,10 +1,12 @@
 """Exact linear algebra over finite fields.
 
 Matrices are lists of rows; entries are integer-encoded field elements.
-Codes are always stored with their generator matrix in reduced row-echelon
-form, so two codes are equal as sets exactly when their stored matrices are
-equal.  A code's rows are `bytes` over fields of order at most 256 and
-tuples otherwise (see row_type).
+A LinearCode holds its generator matrix in reduced row-echelon form, checked
+when it is built, with its pivot columns: two codes are equal as sets
+exactly when their stored matrices are equal, and kernel, contains and the
+parity search read the pivots instead of eliminating again.  A code's rows
+are `bytes` over fields of order at most 256 and tuples otherwise (see
+row_type).
 
 Every elimination and every codeword sum packs its rows the one way
 row_packing picks from the field: one bit per entry over F_2 (BitRows), one
@@ -17,9 +19,10 @@ distance searches each have one code path.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import dataclasses
 from functools import lru_cache
 from itertools import repeat
+from operator import itemgetter
 
 from .fields import FiniteField
 
@@ -520,48 +523,71 @@ def rank(rows, fld: FiniteField) -> int:
     return len(rref(rows, fld)[0])
 
 
-@dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True)
 class LinearCode:
     """A linear code given by its generator matrix in canonical RREF.
 
     The rows are stored as row_type(field) gives, whatever sequences they
-    were given as.
+    were given as.  Construction raises ValueError unless every row has
+    length n, the leading columns (`pivots`) strictly increase, and each row
+    is 1 at its own leading column and 0 at every other row's.
+    row_space_basis brings arbitrary rows to this form.
     """
 
     field: FiniteField
     n: int
     generators: tuple  # rows in reduced row-echelon form
+    pivots: tuple = dataclasses.field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "generators",
-                           tuple(map(row_type(self.field), self.generators)))
+        rows = tuple(map(row_type(self.field), self.generators))
+        object.__setattr__(self, "generators", rows)
+        n, pivots = self.n, []
+        for row in rows:
+            if len(row) != n:
+                raise ValueError(f"a generator has length {len(row)}, not {n}")
+            col = n - len(row.lstrip(b"\0")) if isinstance(row, bytes) \
+                else next((j for j, v in enumerate(row) if v), n)
+            if col == n or row[col] != 1:
+                raise ValueError("a generator does not lead with 1")
+            if pivots and col <= pivots[-1]:
+                raise ValueError("the leading columns do not increase")
+            pivots.append(col)
+        if len(pivots) > 1:
+            pick = itemgetter(*pivots)
+            if any(pick(row).count(0) != len(rows) - 1 for row in rows):
+                raise ValueError("a generator is nonzero at the leading "
+                                 "column of another")
+        object.__setattr__(self, "pivots", tuple(pivots))
 
     @property
     def k(self) -> int:
         return len(self.generators)
 
     def codeword(self, message) -> tuple:
-        """Encode a message vector (length k) into a codeword."""
-        fld = self.field
-        out = [0] * self.n
-        for coeff, row in zip(message, self.generators):
-            if coeff:
-                for i, v in enumerate(row):
-                    if v:
-                        out[i] = fld.add(out[i], fld.mul(coeff, v))
-        return tuple(out)
+        """Encode a message vector (length k) into a codeword: the sum of
+        the generators weighted by its entries, added as row_packing
+        packs them."""
+        packing = row_packing(self.field, self.n)
+        total = packing.zero
+        for c, row in zip(message, self.generators):
+            if c:
+                total = packing.reduce(packing.add(total, packing.multiples(
+                    packing.pack(row))[packing.key(c)]))
+        return tuple(packing.unpack(total))
 
     def contains(self, word) -> bool:
-        return rank(list(self.generators) + [list(word)], self.field) == self.k
+        """Whether word is a codeword.  The generators are the identity on
+        the pivots, so the only codeword that can equal word is the one
+        whose message is word's entries at the pivots."""
+        word = tuple(word)
+        return len(word) == self.n and \
+            self.codeword([word[j] for j in self.pivots]) == word
 
 
-def row_space_basis(rows, fld: FiniteField, n: int | None = None) -> LinearCode:
-    """Canonical code with the same row space as the given rows."""
+def row_space_basis(rows, fld: FiniteField, n: int) -> LinearCode:
+    """The canonical code of length n spanned by the given rows."""
     rows = [list(r) for r in rows]
-    if n is None:
-        if not rows:
-            raise ValueError("cannot infer length from an empty row list")
-        n = len(rows[0])
     if n <= 0:
         raise ValueError("code length must be positive")
     if any(len(r) != n for r in rows):
@@ -569,22 +595,25 @@ def row_space_basis(rows, fld: FiniteField, n: int | None = None) -> LinearCode:
     return LinearCode(fld, n, rref(rows, fld)[0])
 
 
+def parity_check_rows(code: LinearCode) -> list:
+    """A parity-check matrix in systematic form, [-A^T | I] up to column
+    order: for each column c off the pivots, the row that is 1 at c, minus
+    generator i's entry at c at pivot i, and 0 elsewhere."""
+    fld, n = code.field, code.n
+    negated = scale_rows(fld.neg(1), code.generators, fld, n)
+    out = []
+    for c in sorted(set(range(n)).difference(code.pivots)):
+        vec = [0] * n
+        vec[c] = 1
+        for row, pc in zip(negated, code.pivots):
+            vec[pc] = row[c]
+        out.append(vec)
+    return out
+
+
 def kernel(code: LinearCode) -> LinearCode:
     """The dual code: all vectors orthogonal to every generator."""
-    fld = code.field
-    n = code.n
-    basis, pivots = rref(code.generators, fld)
-    pivot_set = set(pivots)
-    free_cols = [c for c in range(n) if c not in pivot_set]
-    basis = scale_rows(fld.neg(1), basis, fld, n)
-    out = []
-    for fc in free_cols:
-        vec = [0] * n
-        vec[fc] = 1
-        for row, pc in zip(basis, pivots):
-            vec[pc] = row[fc]
-        out.append(vec)
-    return row_space_basis(out, fld, n)
+    return row_space_basis(parity_check_rows(code), code.field, code.n)
 
 
 def matrix_product_is_zero(a_rows, b_rows, fld: FiniteField) -> bool:

@@ -59,9 +59,6 @@ class SparsePolynomial:
     def support(self) -> list:
         return [m for m, _ in self.terms]
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def evaluate(self, point) -> int:
         x, y = point
         fld = self.field

@@ -186,44 +186,48 @@ def sweep(p: int, l: int, r: int, u: int, s_values, t: int,
     distance and the request asks for one (exact is not False).  Records
     recomputed for a cached key replace the cache file wholesale to keep
     keys unique, through a temp file in the same directory and os.replace,
-    so a failed rewrite leaves the old cache as it was.
+    so a failed rewrite leaves the old cache as it was.  When a report
+    raises, the records finished before it are written the same way and
+    the error propagates.
     """
     cached = read_cache(cache_path) if cache_path else {}
     results = []
     fresh = []
     rewrite = force
-    for s in s_values:
-        key = (p, l, r, u, s, t)
-        rep = cached.get(key)
-        if rep is not None and not force and (
-                exact is False or rep.exact_distance is not None):
+    try:
+        for s in s_values:
+            key = (p, l, r, u, s, t)
+            rep = cached.get(key)
+            if rep is not None and not force and (
+                    exact is False or rep.exact_distance is not None):
+                results.append(rep)
+                continue
+            rewrite = rewrite or rep is not None
+            rep = run_report(p, l, r, u, s, t, exact=exact, budget=budget)
             results.append(rep)
-            continue
-        rewrite = rewrite or rep is not None
-        rep = run_report(p, l, r, u, s, t, exact=exact, budget=budget)
-        results.append(rep)
-        fresh.append(rep)
-        cached[key] = rep
-    if cache_path and fresh:
-        path = Path(cache_path)
-        if rewrite:
-            tmp = path.with_name(f".{path.name}.{os.getpid()}."
-                                 f"{os.urandom(4).hex()}.tmp")
-            fh = tmp.open("x")
-            try:
-                with fh:
-                    fh.writelines(rep.to_json() + "\n"
-                                  for rep in cached.values())
-                    fh.flush()
-                    os.fsync(fh.fileno())
-                os.replace(tmp, path)
-            except BaseException:
-                tmp.unlink(missing_ok=True)
-                raise
-        else:
-            with path.open("a") as fh:
-                for rep in fresh:
-                    fh.write(rep.to_json() + "\n")
+            fresh.append(rep)
+            cached[key] = rep
+    finally:
+        if cache_path and fresh:
+            path = Path(cache_path)
+            if rewrite:
+                tmp = path.with_name(f".{path.name}.{os.getpid()}."
+                                     f"{os.urandom(4).hex()}.tmp")
+                fh = tmp.open("x")
+                try:
+                    with fh:
+                        fh.writelines(rep.to_json() + "\n"
+                                      for rep in cached.values())
+                        fh.flush()
+                        os.fsync(fh.fileno())
+                    os.replace(tmp, path)
+                except BaseException:
+                    tmp.unlink(missing_ok=True)
+                    raise
+            else:
+                with path.open("a") as fh:
+                    for rep in fresh:
+                        fh.write(rep.to_json() + "\n")
     return results
 
 
@@ -260,8 +264,7 @@ def import_matrix(path) -> LinearCode:
     except FieldError as exc:
         raise CacheError(f"{path}: {exc}") from None
     mat = [vals[i * cols:(i + 1) * cols] for i in range(rows)]
-    code = row_space_basis(mat, fld, n=cols) if rows else \
-        LinearCode(fld, cols, ())
+    code = row_space_basis(mat, fld, cols)
     if code.k != rows:
         raise CacheError(f"{path}: imported rows are not independent")
     return code

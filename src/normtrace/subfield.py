@@ -7,9 +7,9 @@ Two fully independent routes to the dimension of NT_u(s)|F_t are provided:
   identity), and
 * a direct oracle: expand the k rows of the code's reduced echelon
   generator matrix over F_t coordinates and solve for their F_t-combinations
-  landing inside F_t^n.  The generator matrix is the identity on its pivot
-  columns, so only F_t-combinations of its rows can land there, and one
-  k x mn elimination over F_t suffices.
+  landing inside F_t^n.  Every LinearCode holds its generators in that form,
+  the identity on its pivot columns, so only F_t-combinations of its rows
+  can land there, and one k x mn elimination over F_t suffices.
 
 The two must always agree; the test suite asserts this on every instance.
 """
@@ -17,7 +17,6 @@ The two must always agree; the test suite asserts this on every instance.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import itemgetter
 
 from .codes import build_code, dual_weight
 from .curves import CurveSpec
@@ -76,7 +75,7 @@ def trace_span(curve: CurveSpec, s: int, t: int) -> TraceSpanResult:
         for mono, c in nf.terms:
             row[index[mono]] = c
         rows.append(row)
-    dim = rank(rows, fld) if rows else 0
+    dim = rank(rows, fld)
     return TraceSpanResult(curve, s, t, m, tuple(reduced), dim)
 
 
@@ -87,32 +86,6 @@ def trace_span_dim(curve: CurveSpec, s: int, t: int) -> int:
 def subfield_subcode_dim(curve: CurveSpec, s: int, t: int) -> int:
     """dim NT_u(s)|F_t = n - dim Tr(NT_u(dual_weight(s))), by Delsarte."""
     return curve.n - trace_span_dim(curve, dual_weight(curve, s), t)
-
-
-def _spanning_rows_over_subfield(code: LinearCode, emb: SubfieldEmbedding):
-    """Rows whose F_t-span is all of C (for trace_code): basis rows scaled
-    by a big/small basis, one basis element at a time."""
-    for b in emb.basis:
-        yield from scale_rows(b, code.generators, code.field, code.n)
-
-
-def _is_systematic(rows) -> bool:
-    """Whether each row is 1 at its leading column and every other row is 0
-    there, so that the rows restricted to their leading columns form an
-    identity matrix (true of a reduced echelon form)."""
-    leads = []
-    for row in rows:
-        if isinstance(row, bytes):
-            lead = len(row) - len(row.lstrip(b"\0"))
-        else:
-            lead = next((j for j, v in enumerate(row) if v), len(row))
-        if lead == len(row) or row[lead] != 1:
-            return False
-        leads.append(lead)
-    if len(leads) < 2:
-        return True
-    pick = itemgetter(*leads)
-    return all(pick(row).count(0) == len(leads) - 1 for row in rows)
 
 
 def subfield_subcode_oracle(code: LinearCode,
@@ -130,9 +103,6 @@ def subfield_subcode_oracle(code: LinearCode,
     reduced echelon form of these k rows of width mn, the rows whose pivot
     lies among the first components are zero before it, and their first
     components are the reduced echelon basis of C intersect F_t^n.
-
-    Generators that fail the pivot-column premise (a LinearCode built
-    directly from other rows) are brought to reduced echelon form first.
     """
     if emb.big != code.field:
         raise FieldError("embedding does not target the code's field")
@@ -141,14 +111,11 @@ def subfield_subcode_oracle(code: LinearCode,
     n = code.n
     if m == 1:
         # Trivial extension: the code already lives over the small field.
-        return row_space_basis(code.generators, small, n)
-    rows = code.generators
-    if not _is_systematic(rows):
-        rows = row_space_basis(rows, code.field, n).generators
+        return LinearCode(small, n, code.generators)
     comps = emb.components
     width = n * (m - 1)
     expanded = []
-    for row in rows:
+    for row in code.generators:
         if isinstance(row, bytes):
             out = bytearray(width + n)
             for c in range(1, m):
@@ -172,12 +139,12 @@ def trace_code(code: LinearCode, emb: SubfieldEmbedding) -> LinearCode:
     fld = code.field
     small = emb.small
     t = small.order
-    rows = []
-    for row in _spanning_rows_over_subfield(code, emb):
-        rows.append([emb.project(fld.trace_in_field(v, t)) for v in row])
-    if not rows:
-        return LinearCode(small, code.n, ())
-    return row_space_basis(rows, small, n=code.n)
+    # The generators scaled by each element of the basis of the big field
+    # over the small one span C over F_t.
+    rows = [[emb.project(fld.trace_in_field(v, t)) for v in row]
+            for b in emb.basis
+            for row in scale_rows(b, code.generators, fld, code.n)]
+    return row_space_basis(rows, small, code.n)
 
 
 @dataclass(frozen=True)

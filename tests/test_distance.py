@@ -11,8 +11,9 @@ from normtrace.distance import (BudgetExceeded, _columns,
                                 exact_min_distance_parity, geil_bound,
                                 is_even_weight)
 from normtrace.fields import FieldError, make_field
-from normtrace.linalg import (DigitLanes, LinearCode, kernel, rank,
-                              row_packing, row_space_basis)
+from normtrace.linalg import (DigitLanes, LinearCode, kernel,
+                              parity_check_rows, rank, row_packing,
+                              row_space_basis)
 from normtrace.monomials import footprint, footprint_paper_variant, weight
 from normtrace.subfield import subfield_subcode_of_ent
 
@@ -485,6 +486,51 @@ def test_last_level_lookup_matches_elimination_on_shaped_columns():
                         first_dependent_set_by_elimination, cols, w, fld, 3,
                         budget), (fld, w, budget)
                     outcomes.add(outcome[0])
+    assert outcomes == {"found", "budget", "dependent prefix"}
+
+
+def test_systematic_parity_columns_match_canonical_dual():
+    # The parity search reads the columns of the systematic rows
+    # [-A^T | I]; the canonical dual's columns give every outcome alike,
+    # level by level up to one past the first dependent set, and at every
+    # budget from a level's start to one past its end.
+    rng = random.Random(109)
+    outcomes = set()
+    for p, e in LOOKUP_FIELDS:
+        fld = make_field(p, e)
+        codes = []
+        for _ in range(5):
+            n = rng.randrange(4, 7 if fld.order > 127 else 11)
+            codes.append(random_code(rng, fld, n, rng.randrange(1, n)))
+        # A zero column and parallel columns, first or further on.
+        for cols in list(shaped_columns(rng, fld, 9))[1:]:
+            codes.append(kernel(row_space_basis(zip(*cols), fld, 9)))
+        for code in codes:
+            n = code.n
+            systematic = parity_check_rows(code)
+            if not systematic:
+                continue
+            cols = _columns(systematic, n)
+            canonical = _columns(kernel(code).generators, n)
+            spent, last = 0, n
+            for w in range(1, last + 1):
+                full = dependent_set_outcome(_first_dependent_set, cols, w,
+                                             fld, spent, 1 << 40)
+                # Past the first dependent set, a prefix is dependent.
+                end = full[1][1] if full[0] == "found" else spent + 30
+                for budget in [*range(spent, end + 2), 1 << 40]:
+                    outcome = dependent_set_outcome(
+                        _first_dependent_set, cols, w, fld, spent, budget)
+                    assert outcome == dependent_set_outcome(
+                        _first_dependent_set, canonical, w, fld, spent,
+                        budget), (fld, w, budget)
+                    outcomes.add(outcome[0])
+                if w == last:
+                    break
+                if full[0] == "found":
+                    found, spent = full[1]
+                    if found is not None:
+                        last = w + 1
     assert outcomes == {"found", "budget", "dependent prefix"}
 
 

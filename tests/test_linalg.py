@@ -5,7 +5,7 @@ import pytest
 from normtrace.fields import make_field
 from normtrace.linalg import (BitRows, DigitLanes, EntryRows, LaneRows,
                               LinearCode, kernel, matrix_product_is_zero,
-                              row_packing, row_space_basis, rref)
+                              rank, row_packing, row_space_basis, rref)
 
 F2 = make_field(2, 1)
 F4 = make_field(2, 2)
@@ -18,12 +18,33 @@ def random_code(rng, fld, n, k):
 
 
 def test_row_space_examples():
-    c = row_space_basis([[1, 1], [0, 0]], F2)
+    c = row_space_basis([[1, 1], [0, 0]], F2, 2)
     assert c.k == 1 and list(map(tuple, c.generators)) == [(1, 1)]
     c = row_space_basis([[1, 3], [1, 3]], F4, 2)
     assert c.k == 1
+    assert row_space_basis([], F2, 3) == LinearCode(F2, 3, ())
     with pytest.raises(ValueError):
-        row_space_basis([], F2)
+        row_space_basis([], F2, 0)
+    with pytest.raises(ValueError):
+        row_space_basis([[1, 0], [1]], F2, 2)
+
+
+@pytest.mark.parametrize("rows,fault", [
+    ([[1, 0, 1, 0]], "length 4, not 3"),
+    ([[1, 0, 1], [0, 1]], "length 2, not 3"),
+    ([[0, 1, 0], [1, 0, 0]], "leading columns do not increase"),
+    ([[1, 0, 0], [0, 0, 1], [0, 0, 1]], "leading columns do not increase"),
+    ([[1, 0, 0], [0, 0, 0]], "does not lead with 1"),  # a zero row
+    ([[2, 0, 0]], "does not lead with 1"),
+    ([[1, 0, 0], [0, 3, 1]], "does not lead with 1"),
+    ([[1, 2, 0], [0, 1, 0]], "nonzero at the leading column of another"),
+    ([[1, 0, 4], [0, 1, 0], [0, 0, 1]],
+     "nonzero at the leading column of another"),
+], ids=str)
+def test_linear_code_rejects_rows_not_in_echelon_form(rows, fault):
+    for fld in (make_field(5, 1), make_field(131, 1)):  # bytes and tuples
+        with pytest.raises(ValueError, match=fault):
+            LinearCode(fld, 3, rows)
 
 
 def test_echelon_form_is_canonical():
@@ -67,9 +88,13 @@ def test_kernel_extremes():
 
 def test_codeword_and_contains():
     c = row_space_basis([[1, 0, 1], [0, 1, 1]], F2, 3)
+    assert c.pivots == (0, 1)
     assert c.codeword([1, 1]) == (1, 1, 0)
     assert c.contains((1, 1, 0))
     assert not c.contains((1, 0, 0))
+    assert not c.contains((1,))
+    assert LinearCode(F2, 3, ()).contains((0, 0, 0))
+    assert not LinearCode(F2, 3, ()).contains((0, 1, 0))
 
 
 def reference_rref(rows, fld):
@@ -215,6 +240,30 @@ def test_lane_rref_matches_per_entry_reference(fld):
             assert rref([tuple(r) for r in rows], fld) == expect
             if fld.order <= 256:
                 assert rref([bytes(r) for r in rows], fld) == expect
+
+
+@pytest.mark.parametrize("fld", LANE_FIELDS, ids=repr)
+def test_pivots_codeword_and_contains_match_elimination(fld):
+    # Every packing: pivots as rref finds them, codewords as per-entry sums
+    # and membership as the rank test, on codewords and random words.
+    rng = random.Random(fld.order)
+    q = fld.order
+    for n, k in [(1, 1), (5, 2), (9, 5), (12, 12), (17, 6)]:
+        rows = [[rng.randrange(q) if rng.random() < 0.7 else 0
+                 for _ in range(n)] for _ in range(k)]
+        code = row_space_basis(rows, fld, n)
+        assert code.pivots == tuple(rref(rows, fld)[1])
+        for _ in range(6):
+            message = [rng.randrange(q) for _ in range(code.k)]
+            word = [0] * n
+            for c, row in zip(message, code.generators):
+                word = [fld.add(x, fld.mul(c, v)) for x, v in zip(word, row)]
+            assert code.codeword(message) == tuple(word)
+            assert code.contains(word)
+            other = [rng.randrange(q) for _ in range(n)]
+            for w in (other, [fld.add(x, y) for x, y in zip(word, other)]):
+                assert code.contains(w) == (
+                    rank(list(code.generators) + [w], fld) == code.k)
 
 
 def test_product_check_matches_per_entry_reference():

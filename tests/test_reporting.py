@@ -5,6 +5,7 @@ import pytest
 from normtrace.cli import main
 from normtrace.curves import make_curve
 from normtrace.codes import build_code
+from normtrace.distance import BudgetExceeded
 from normtrace.reporting import (CacheError, CodeReport, export_matrix,
                                  import_matrix, read_cache, run_report, sweep)
 from normtrace.subfield import subfield_subcode_of_ent
@@ -108,6 +109,32 @@ def test_sweep_force_failure_keeps_old_cache(tmp_path, monkeypatch, failing):
     with pytest.raises((RuntimeError, OSError)):
         sweep(2, 1, 4, 3, range(0, 3), 2, cache_path=cache, force=True)
     assert cache.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["cache.jsonl"]
+
+
+@pytest.mark.parametrize("cached", [False, True])
+def test_sweep_keeps_reports_finished_before_an_error(tmp_path, monkeypatch,
+                                                     cached):
+    # A report that raises on the last s leaves the earlier ones cached: by
+    # appending, or by the atomic rewrite when a recomputed key asks for it.
+    cache = tmp_path / "cache.jsonl"
+    if cached:
+        sweep(2, 1, 4, 3, [37], 2, cache_path=cache, exact=False)
+    before = read_cache(cache)
+    expect = [run_report(2, 1, 4, 3, s, 2, exact=True) for s in (35, 36)]
+    finished = run_report
+
+    def run(p, l, r, u, s, t, **kwargs):
+        if s == 37:
+            raise BudgetExceeded("out of budget", spent=1, budget=1,
+                                 lower=1, upper=None)
+        return finished(p, l, r, u, s, t, **kwargs)
+    monkeypatch.setattr("normtrace.reporting.run_report", run)
+    with pytest.raises(BudgetExceeded):
+        sweep(2, 1, 4, 3, [35, 36, 37], 2, cache_path=cache, exact=True)
+    after = read_cache(cache)
+    assert [after[rep.key()] for rep in expect] == expect
+    assert after == {**before, **{rep.key(): rep for rep in expect}}
     assert [p.name for p in tmp_path.iterdir()] == ["cache.jsonl"]
 
 
@@ -277,7 +304,7 @@ def test_cli_rejects_unread_options(argv, capsys):
     assert "unrecognized arguments" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("s_range", ["5", "a:b", "3:"])
+@pytest.mark.parametrize("s_range", ["5", "a:b", "3:", "45:0"])
 def test_cli_sweep_rejects_malformed_range(s_range, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["sweep", "--p", "2", "--l", "1", "--r", "4", "--u", "3",
