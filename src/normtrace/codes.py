@@ -11,29 +11,63 @@ check_duality verifies this relation at runtime without building either
 code.  Both are spans of monomial evaluations, so they are orthogonal
 exactly when every twisted power sum S(a, b) = sum_P v_P x^a y^b vanishes,
 for (a, b) a sum of exponents of a weight-<=s and a weight-<=s' monomial.
-Footprint monomials evaluate independently (build_code asserts this for
-every code it builds), so each dimension is a count of monomials.
+Which S(a, b) vanish is one table per curve, built on first use over the
+reduced X exponents a <= u(q-1) (x^{u(q-1)+1} = x at every point) and every
+Y exponent sum; a check reads the staircase of exponent sums of M(s) and
+M(s') in it.  Footprint monomials evaluate independently (build_code
+asserts this for every code it builds), so each dimension is a count of
+monomials.
+
+build_code evaluates the monomials fiber by fiber: the points are sorted by
+x, so a row is x^i times each fiber's y^j, one scaling per fiber.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import accumulate, groupby
 
 from .curves import CurveSpec, enumerate_points
 from .linalg import LinearCode, row_space_basis
 from .monomials import monomials_up_to
-from .reduction import SparsePolynomial
+from .reduction import _x_exponent
 
 
-def _monomial_rows(curve: CurveSpec, monos):
-    """Evaluations of the monomials at the points, from one table of x^i
-    and one of y^j over the points per exponent that occurs."""
+def _monomial_rows(curve: CurveSpec, monos) -> list:
+    """Evaluations of the monomials at the points.
+
+    The points are sorted by x, so the row of X^i Y^j is, fiber by fiber,
+    x^i times that fiber's slice of the row of y^j over all the points:
+    one scaling per fiber.  Over fields of order at most 256 a row is
+    `bytes` and a scaling is one `bytes.translate` through the table of
+    c * b; above that a row is a list and a scaling is `scale_row`.
+    """
     fld = curve.field
     xs, ys = zip(*enumerate_points(curve))
-    xpow = {i: [fld.pow(x, i) for x in xs] for i in {i for i, _ in monos}}
-    ypow = {j: [fld.pow(y, j) for y in ys] for j in {j for _, j in monos}}
-    return [list(map(fld.mul, xpow[i], ypow[j])) for i, j in monos]
+    fibers = [(x, len(list(group))) for x, group in groupby(xs)]
+    bounds = list(accumulate((size for _, size in fibers), initial=0))
+    xpow = {i: [fld.pow(x, i) for x, _ in fibers]
+            for i in {i for i, _ in monos}}
+    if fld.order <= 256:
+        ys, join = bytes(ys), b"".join
+        tables = {c: bytes(fld.scale_row(c, fld.elements())).ljust(256, b"\0")
+                  for c in {c for row in xpow.values() for c in row}}
+
+        def scale(c, segment):
+            return segment.translate(tables[c])
+    else:
+        scale = fld.scale_row
+
+        def join(parts):
+            return [v for part in parts for v in part]
+    distinct = set(ys)
+    yfibers = {}
+    for j in {j for _, j in monos}:
+        power = {y: fld.pow(y, j) for y in distinct}
+        row = type(ys)(map(power.__getitem__, ys))
+        yfibers[j] = [row[a:b] for a, b in zip(bounds, bounds[1:])]
+    return [join(map(scale, xpow[i], yfibers[j])) for i, j in monos]
 
 
 def affine_variety_code(points, polys, fld) -> LinearCode:
@@ -120,32 +154,74 @@ def _field_sum(fld, values) -> int:
     return total
 
 
+@lru_cache(maxsize=None)
+def _power_sum_table(curve: CurveSpec) -> tuple:
+    """For each X exponent a = 0 .. u(q-1), the int whose bit b is set when
+    the twisted power sum S(a, b) = sum_P v_P x^a y^b is nonzero, for
+    b = 0 .. 2(q^{r-1} - 1), the largest sum of two footprint Y exponents.
+
+    Fibers (the points with one x) that hold the same y's form a class, and
+    S(a, b) is the sum over the classes of (sum of v(x) x^a over its x's)
+    times (sum of y^b over its y's).
+    """
+    fld = curve.field
+    period = curve.u * (curve.q - 1)
+    top = 2 * (curve.q ** (curve.r - 1) - 1)
+    fibers = {}
+    for x, y in enumerate_points(curve):
+        fibers.setdefault(x, []).append(y)
+    classes = {}
+    for x, ys in fibers.items():
+        classes.setdefault(tuple(ys), []).append(x)
+    factors = []
+    for ys, xs in classes.items():
+        twisted = [(x, _duality_twist(curve, x)) for x in xs]
+        factors.append((
+            [_field_sum(fld, (fld.mul(v, fld.pow(x, a)) for x, v in twisted))
+             for a in range(period + 1)],
+            [_field_sum(fld, (fld.pow(y, b) for y in ys))
+             for b in range(top + 1)]))
+    return tuple(
+        sum(1 << b for b in range(top + 1)
+            if _field_sum(fld, (fld.mul(xsum[a], ysum[b])
+                                for xsum, ysum in factors)))
+        for a in range(period + 1))
+
+
+def _column_tops(monos) -> dict:
+    """i -> the largest j of a monomial X^i Y^j in monos."""
+    tops = {}
+    for i, j in monos:
+        if tops.get(i, -1) < j:
+            tops[i] = j
+    return tops
+
+
 def check_duality(curve: CurveSpec, s: int) -> DualityReport:
     """Verify NT_u(s)^perp = v * NT_u(dual_weight(s)) from power sums.
 
-    The points are grouped by x, which fixes v_P, and each group keeps one
-    power sum of its y's per exponent b.  The codes are orthogonal when
-    S(a, b) = sum_x v(x) x^a sum_y y^b is zero for every exponent sum (a, b)
-    of a monomial in M(s) and one in M(s').  The dimensions are |M(s)| and
-    |M(s')|: footprint monomials evaluate independently.
+    The codes are orthogonal when S(a, b) = sum_P v_P x^a y^b is zero for
+    every exponent sum (a, b) of a monomial in M(s) and one in M(s').  At
+    every point x^{u(q-1)+1} = x, so S(a, b) depends on a only through its
+    reduced exponent (_x_exponent), and one table per curve holds which
+    sums vanish (_power_sum_table).  M(s) and M(s') hold, with X^i Y^j,
+    every X^i Y^j' for j' < j, so the exponent sums with a given a are the
+    (a, b) for b up to the largest j + j' over the pairs with i + i' = a: a
+    staircase, read from the table with one mask per a.  The dimensions
+    are |M(s)| and |M(s')|: footprint monomials evaluate independently.
     """
     s_dual = dual_weight(curve, s)
     monos = monomials_up_to(curve, s)
     dual_monos = monomials_up_to(curve, s_dual)
-    sums = {(i + a, j + b) for i, j in monos for a, b in dual_monos}
-    fld = curve.field
-    fibers = {}
-    for x, y in enumerate_points(curve):
-        fibers.setdefault(x, []).append(y)
-    twist = {x: _duality_twist(curve, x) for x in fibers}
-    # b -> [(x, v(x) * sum of y^b over the points with this x)]
-    twisted = {b: [(x, fld.mul(twist[x],
-                              _field_sum(fld, (fld.pow(y, b) for y in ys))))
-                   for x, ys in fibers.items()]
-               for b in {b for _, b in sums}}
-    orthogonal = not any(
-        _field_sum(fld, (fld.mul(fld.pow(x, a), w) for x, w in twisted[b]))
-        for a, b in sums)
+    dual_tops = _column_tops(dual_monos).items()
+    stairs = {}
+    for i, j in _column_tops(monos).items():
+        for i2, j2 in dual_tops:
+            if stairs.get(i + i2, -1) < j + j2:
+                stairs[i + i2] = j + j2
+    nonzero = _power_sum_table(curve) if stairs else ()
+    orthogonal = not any(nonzero[_x_exponent(curve, a)] & ((2 << b) - 1)
+                         for a, b in stairs.items())
     return DualityReport(
         curve=curve, s=s, s_dual=s_dual,
         dim_s=len(monos), dim_dual=len(dual_monos),

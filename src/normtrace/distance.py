@@ -1,7 +1,10 @@
 """Minimum-distance machinery: the order bound and two exact algorithms.
 
-The order bound is computed from weight-shifted footprint counting.  The two
-exact algorithms are mutually independent:
+The order bound is computed from weight-shifted footprint counting, one
+table of counts per curve and monomial box: each count is a sum of bit
+counts of shifted weight masks (_order_bound_counts), and geil_bound takes
+the least count at weights up to s.  The two exact algorithms are mutually
+independent:
 
 * information-set enumeration (Brouwer-Zimmermann), which visits codewords
   by their weight on disjoint information sets and stops when a lower bound
@@ -63,7 +66,13 @@ class DistanceResult:
 def _order_bound_counts(curve: CurveSpec, variant: str) -> tuple:
     """(w(P), count) for each weight of a monomial P in the box, with count
     the number of monomials K whose weight exceeds w(P) by another monomial
-    weight, counted from the multiset of monomial weights."""
+    weight.
+
+    With D the int whose bit w is set when w is a monomial weight, and L_m
+    the int of the weights that occur at least m times, the count is the
+    sum over m of the bits in L_m & (D << w(P)): bit w(K) of D << w(P) is
+    set when w(K) - w(P) is a monomial weight.
+    """
     if variant == "footprint":
         delta = footprint(curve)
     elif variant == "paper":
@@ -71,7 +80,11 @@ def _order_bound_counts(curve: CurveSpec, variant: str) -> tuple:
     else:
         raise ValueError(f"unknown variant {variant!r}")
     counts = Counter(weight(curve, m) for m in delta)
-    return tuple((wp, sum(c for wk, c in counts.items() if wk - wp in counts))
+    levels = [sum(1 << w for w, c in counts.items() if c >= m)
+              for m in range(1, max(counts.values()) + 1)]
+    weights = levels[0]
+    return tuple((wp, sum((level & weights << wp).bit_count()
+                          for level in levels))
                  for wp in counts)
 
 
@@ -81,7 +94,9 @@ def geil_bound(curve: CurveSpec, s: int, variant: str = "footprint") -> int:
     For each footprint monomial P of weight at most s, count the footprint
     monomials K whose weight exceeds P's by another footprint weight; the
     bound is the minimum of those counts.  The count depends on P only
-    through its weight, so the counts are taken once per curve and weight.
+    through its weight, so the counts are taken once per curve and weight,
+    as bit counts of shifted masks of the monomial weights
+    (_order_bound_counts).
     `variant` selects the monomial box: "footprint" uses j < q^{r-1} (the
     true footprint), "paper" uses j <= q^{r-1}.
 
@@ -104,14 +119,16 @@ def _information_sets(code: LinearCode) -> list:
     """Generator matrices of the code in systematic form on disjoint
     information sets, taken greedily.
 
-    Each is the reduced echelon form of the generators with the columns no
-    earlier set took placed first, put back in the original column order.
-    The greedy pass stops at the first leftover block of rank below k; its
-    columns take part in no set.
+    The first is the code's own reduced echelon form, on its pivots.  Each
+    later one is the reduced echelon form of the generators with the
+    columns no earlier set took placed first, put back in the original
+    column order.  The greedy pass stops at the first leftover block of
+    rank below k; its columns take part in no set.
     """
     n, k = code.n, code.k
-    forms = []
-    unused = list(range(n))
+    forms = [[list(row) for row in code.generators]]
+    pivots = set(code.pivots)
+    unused = [c for c in range(n) if c not in pivots]
     while len(unused) >= k:
         taken = set(unused)
         order = unused + [c for c in range(n) if c not in taken]

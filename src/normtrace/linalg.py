@@ -51,6 +51,10 @@ class _Packing:
     def reduce(v):
         return v
 
+    def scale(self, c: int, v):
+        """The row c * v."""
+        return self.multiples(v)[self.key(c)]
+
     def back_substitute(self, echelon: list, pivots: list) -> None:
         """Clear the entries above each pivot of a reduced echelon form, in
         place.
@@ -204,26 +208,9 @@ class LaneRows(_Packing):
         return ((v & self.low) << 1) ^ \
             (((v >> (self.e - 1)) & self.ones) * self.poly)
 
-    def multiples(self, v: int) -> _Products:
-        """The map key(c) -> c * v, each product built on first use."""
-        images = [v]
-        for _ in range(self.e - 1):
-            v = self._times_x(v)
-            images.append(v)
-
-        def product(c):
-            w = 0
-            for k, image in enumerate(images):
-                if c >> k & 1:
-                    w ^= image
-            return w
-        return _Products(product)
-
-    def monic(self, v: int) -> int:
-        """A nonzero row scaled so that its first nonzero entry is 1: the
-        XOR of the images x^k * v over the bits k of that entry's
-        inverse."""
-        c = self.fld.inv(v >> (self.lead(v) << 3) & 255)
+    def scale(self, c: int, v: int) -> int:
+        """The row c * v: the XOR of the images x^k * v over the bits k of
+        c, with no map of the other products."""
         w = v if c & 1 else 0
         while c := c >> 1:
             v = self._times_x(v)
@@ -231,13 +218,43 @@ class LaneRows(_Packing):
                 w ^= v
         return w
 
-    def pivot_multiples(self, v: int, col: int) -> _Products:
+    def multiples(self, v: int):
+        """The map key(c) -> c * v, each product one XOR of an image
+        x^k * v into a product already built.
+
+        Up to order 64 the map is a list of all 2^e products, built in
+        Gray-code order, where the k-th code differs from the one before
+        in the lowest set bit of k.  Over F_128 and F_256 a product is
+        built on first use, from the one with the lowest set bit of c
+        cleared, since a short elimination, such as a node of the parity
+        search, uses few of the 2^e products of a pivot.
+        """
+        images = [v]
+        for _ in range(self.e - 1):
+            v = self._times_x(v)
+            images.append(v)
+        if self.e <= 6:
+            times = [0] * (1 << self.e)
+            w = 0
+            for k in range(1, 1 << self.e):
+                w ^= images[(k & -k).bit_length() - 1]
+                times[k ^ k >> 1] = w
+            return times
+        times = _Products(lambda c: times[c & c - 1] ^
+                          images[(c & -c).bit_length() - 1])
+        times[0] = 0
+        return times
+
+    def monic(self, v: int) -> int:
+        """A nonzero row scaled so that its first nonzero entry is 1."""
+        return self.scale(self.fld.inv(v >> (self.lead(v) << 3) & 255), v)
+
+    def pivot_multiples(self, v: int, col: int):
         """The map key(c) -> -c * v / v[col], for a row v nonzero at col;
         here -c = c."""
-        times = self.multiples(v)
         lead = v >> (col << 3) & 255
-        return times if lead == 1 else \
-            self.multiples(times[self.fld.inv(lead)])
+        return self.multiples(v if lead == 1 else
+                              self.scale(self.fld.inv(lead), v))
 
     def weights(self, s: int, words):
         """The weight of s + t for each word t: n minus its zero bytes."""
@@ -480,8 +497,7 @@ def row_type(fld: FiniteField) -> type:
 def scale_rows(c: int, rows, fld: FiniteField, width: int) -> list:
     """The rows c * row."""
     packing = row_packing(fld, width)
-    key = packing.key(c)
-    return [packing.unpack(packing.multiples(packing.pack(row))[key])
+    return [packing.unpack(packing.scale(c, packing.pack(row)))
             for row in rows]
 
 
@@ -572,8 +588,8 @@ class LinearCode:
         total = packing.zero
         for c, row in zip(message, self.generators):
             if c:
-                total = packing.reduce(packing.add(total, packing.multiples(
-                    packing.pack(row))[packing.key(c)]))
+                total = packing.reduce(packing.add(
+                    total, packing.scale(c, packing.pack(row))))
         return tuple(packing.unpack(total))
 
     def contains(self, word) -> bool:
@@ -586,8 +602,9 @@ class LinearCode:
 
 
 def row_space_basis(rows, fld: FiniteField, n: int) -> LinearCode:
-    """The canonical code of length n spanned by the given rows."""
-    rows = [list(r) for r in rows]
+    """The canonical code of length n spanned by the given rows, which
+    may be `bytes` (rref packs them as they are) or any other sequences."""
+    rows = [r if isinstance(r, bytes) else list(r) for r in rows]
     if n <= 0:
         raise ValueError("code length must be positive")
     if any(len(r) != n for r in rows):

@@ -9,6 +9,7 @@ leading terms of the two curve-ideal generators coprime.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from functools import lru_cache
 
 from .curves import CurveSpec
@@ -63,6 +64,14 @@ def footprint_paper_variant(curve: CurveSpec) -> tuple:
     return tuple(monos)
 
 
+@lru_cache(maxsize=None)
+def footprint_weights(curve: CurveSpec) -> tuple:
+    """The weights of the footprint monomials, in footprint order: strictly
+    increasing, since weights are injective on the footprint."""
+    return tuple(weight(curve, m) for m in footprint(curve))
+
+
 def monomials_up_to(curve: CurveSpec, s: int) -> list:
-    """Footprint monomials of weight at most s, ascending by weight."""
-    return [m for m in footprint(curve) if weight(curve, m) <= s]
+    """Footprint monomials of weight at most s, ascending by weight: a
+    prefix of the footprint."""
+    return list(footprint(curve)[:bisect_right(footprint_weights(curve), s)])

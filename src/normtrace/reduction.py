@@ -180,12 +180,18 @@ def _times_x_power(curve: CurveSpec, a: int, terms: dict) -> dict:
     return out
 
 
+def _y_exponent(curve: CurveSpec, b: int) -> int:
+    """The exponent whose entry in the table of NF(Y^b) gives NF(Y^b): b
+    itself below q^{r-1}, else ((b - 1) mod (q^r - 1)) + 1, since
+    y^{q^r} = y at every point."""
+    q, r = curve.q, curve.r
+    return b if b < q ** (r - 1) else (b - 1) % (q**r - 1) + 1
+
+
 def _y_power_form(curve: CurveSpec, b: int) -> dict:
     """NF(Y^b) as {monomial: coefficient}; callers must not mutate it."""
-    q, r = curve.q, curve.r
-    if b >= q ** (r - 1):
-        b = (b - 1) % (q**r - 1) + 1  # y^{q^r} = y at every point
-    if b < q ** (r - 1):
+    b = _y_exponent(curve, b)
+    if b < curve.q ** (curve.r - 1):
         return {(0, b): 1}
     return _y_power_table(curve, b)
 

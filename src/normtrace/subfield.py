@@ -12,19 +12,30 @@ Two fully independent routes to the dimension of NT_u(s)|F_t are provided:
   can land there, and one k x mn elimination over F_t suffices.
 
 The two must always agree; the test suite asserts this on every instance.
+
+The Groebner route answers every s of a curve from one pass per (curve, t)
+in weight order (trace_span): each new normal form is reduced against an
+echelon basis kept over the prime field F_p, since the normal forms of
+monomials have coefficients in F_p and a rank does not change when the
+field is extended.  The pass is extended only as far as the highest weight
+asked so far.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .codes import build_code, dual_weight
 from .curves import CurveSpec
 from .fields import FieldError, SubfieldEmbedding, embedding, make_field, \
     subfield_of_order
-from .linalg import LinearCode, rank, row_space_basis, rref, scale_rows
-from .monomials import footprint, monomials_up_to
-from .reduction import monomial_normal_form
+from .linalg import LinearCode, row_packing, row_space_basis, rref, \
+    scale_rows
+from .monomials import footprint, footprint_weights, monomials_up_to
+from .reduction import SparsePolynomial, _x_exponent, _y_exponent, \
+    monomial_normal_form
 
 
 def code_frobenius(code: LinearCode, t: int) -> LinearCode:
@@ -48,35 +59,97 @@ class TraceSpanResult:
     dimension: int
 
 
+class _TracePass:
+    """The first-seen normal forms of the Frobenius powers of the footprint
+    monomials, taken in footprint order, with the rank of every prefix.
+
+    Monomial X^i Y^j brings its powers X^{i t^k} Y^{j t^k}, k < m, in turn.
+    Each power is first brought to its canonical exponents (X as in
+    _x_exponent, Y as in _y_exponent), which fix its normal form; an
+    exponent pair seen before is skipped before any normal form is taken,
+    and so is a normal form seen before.  Each new normal form is reduced
+    against an echelon basis kept over F_p: the generators of the curve
+    ideal have coefficients in F_p, so every normal form of a monomial does
+    too, and a rank does not change when the field is extended.  The pass
+    goes only as far as the highest weight asked so far.
+    """
+
+    def __init__(self, curve: CurveSpec, t: int):
+        self.curve, self.t = curve, t
+        self.m = curve.field.subfield_degree(t)
+        self.done = 0  # footprint monomials taken
+        self.forms = []  # first-seen normal forms
+        self.origins = []  # weight of the monomial each form came from
+        self.ranks = []  # rank of forms[:i + 1]
+        self.exponents = set()
+        self.terms = set()
+        self.index = {mono: i for i, mono in enumerate(footprint(curve))}
+        self.packing = row_packing(make_field(curve.p, 1), curve.n)
+        self.basis = {}  # pivot column -> pivot_multiples of its row
+
+    def extend_to(self, s: int) -> None:
+        curve, t = self.curve, self.t
+        monos, weights = footprint(curve), footprint_weights(curve)
+        stop = bisect_right(weights, s)
+        for pos in range(self.done, stop):
+            i, j = monos[pos]
+            for k in range(self.m):
+                key = (_x_exponent(curve, i * t**k),
+                       _y_exponent(curve, j * t**k))
+                if key in self.exponents:
+                    continue
+                self.exponents.add(key)
+                nf = monomial_normal_form(curve, *key)
+                if nf.terms in self.terms:
+                    continue
+                self.terms.add(nf.terms)
+                rank = self.ranks[-1] if self.ranks else 0
+                self.forms.append(nf)
+                self.origins.append(weights[pos])
+                self.ranks.append(rank + self._insert(nf))
+        self.done = max(self.done, stop)
+
+    def _insert(self, nf: SparsePolynomial) -> int:
+        """1 if nf is independent of the forms before it, and then it joins
+        the basis; else 0."""
+        packing, p = self.packing, self.curve.p
+        row = [0] * self.curve.n
+        for mono, c in nf.terms:
+            if c >= p:
+                raise AssertionError(
+                    f"normal form coefficient {c} outside F_{p}: {nf.terms}")
+            row[self.index[mono]] = c
+        v = packing.pack(row)
+        while v != packing.zero:
+            col = packing.lead(v)
+            minus = self.basis.get(col)
+            if minus is None:
+                self.basis[col] = packing.pivot_multiples(v, col)
+                return 1
+            v = packing.sweep([v], minus, col)[0]
+        return 0
+
+
+@lru_cache(maxsize=None)
+def _trace_pass(curve: CurveSpec, t: int) -> _TracePass:
+    return _TracePass(curve, t)
+
+
 def trace_span(curve: CurveSpec, s: int, t: int) -> TraceSpanResult:
     """Span data of Tr_{F_{q^r}/F_t}(NT_u(s)), via Groebner normal forms.
 
     The trace code is the evaluation code of all m^{t^i} reduced modulo the
     curve ideal; since footprint monomials evaluate independently, its
     dimension is the rank of the reduced coefficient vectors.  Each m^{t^i}
-    is a monomial, so its normal form comes from monomial_normal_form.
+    is a monomial, so its normal form comes from monomial_normal_form.  The
+    forms and ranks are read from one pass per curve and t (_TracePass):
+    the forms whose monomial has weight at most s, and their rank.
     """
-    fld = curve.field
-    m = fld.subfield_degree(t)
-    monos = monomials_up_to(curve, s)
-    seen = set()
-    reduced = []
-    for i, j in monos:
-        for k in range(m):
-            nf = monomial_normal_form(curve, i * t**k, j * t**k)
-            if nf.terms not in seen:
-                seen.add(nf.terms)
-                reduced.append(nf)
-    fp = footprint(curve)
-    index = {mm: i for i, mm in enumerate(fp)}
-    rows = []
-    for nf in reduced:
-        row = [0] * len(fp)
-        for mono, c in nf.terms:
-            row[index[mono]] = c
-        rows.append(row)
-    dim = rank(rows, fld)
-    return TraceSpanResult(curve, s, t, m, tuple(reduced), dim)
+    span = _trace_pass(curve, t)
+    span.extend_to(s)
+    count = bisect_right(span.origins, s)
+    return TraceSpanResult(curve, s, t, span.m, tuple(span.forms[:count]),
+                           span.ranks[count - 1] if count else 0)
 
 
 def trace_span_dim(curve: CurveSpec, s: int, t: int) -> int:

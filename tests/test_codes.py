@@ -7,8 +7,8 @@ from normtrace.codes import (affine_variety_code, build_code, check_duality,
                              dual_weight, dual_weight_printed_formula)
 from normtrace.curves import enumerate_points, make_curve
 from normtrace.fields import make_field
-from normtrace.monomials import monomials_up_to
-from normtrace.reduction import SparsePolynomial, monomial_poly
+from normtrace.monomials import footprint, monomials_up_to
+from normtrace.reduction import SparsePolynomial, _x_exponent, monomial_poly
 
 NT3 = make_curve(2, 1, 4, 3)
 NT5 = make_curve(2, 1, 4, 5)
@@ -40,6 +40,32 @@ def test_dimension_counts_weights():
     for curve in (NT3, NT5):
         for s in range(0, curve.max_weight + 1, 7):
             assert build_code(curve, s).k == len(monomials_up_to(curve, s))
+
+
+# A curve over each of F_4, F_9, F_16, F_25, F_27 and F_64 (rows as bytes,
+# one translate per fiber) and over F_512 (rows as lists, scale_row per
+# fiber).
+EVALUATION_CURVES = [(2, 1, 2, 3), (3, 1, 2, 4), (2, 2, 2, 5), (5, 1, 2, 6),
+                     (3, 1, 3, 13), (2, 1, 6, 3), (2, 3, 3, 1)]
+
+
+@pytest.mark.parametrize("params", EVALUATION_CURVES, ids=str)
+def test_fiberwise_rows_match_per_entry_evaluation(params):
+    curve = make_curve(*params)
+    fld = curve.field
+    points = enumerate_points(curve)
+    monos = footprint(curve)
+    rows = codes._monomial_rows(curve, monos)
+    assert all(isinstance(row, bytes if fld.order <= 256 else list)
+               for row in rows)
+    assert [list(row) for row in rows] == [
+        [fld.mul(fld.pow(x, i), fld.pow(y, j)) for x, y in points]
+        for i, j in monos]
+    # Any subset, in any order.
+    some = random.Random(str(params)).sample(monos, min(9, len(monos)))
+    assert [list(row) for row in codes._monomial_rows(curve, some)] == [
+        [fld.mul(fld.pow(x, i), fld.pow(y, j)) for x, y in points]
+        for i, j in some]
 
 
 def test_dual_weight():
@@ -107,13 +133,60 @@ def test_check_duality_twisted_in_odd_characteristic():
         assert_matches_matrix_route(make_curve(*params))
 
 
+@pytest.mark.parametrize("params", [(2, 1, 4, 3), (2, 2, 2, 5), (3, 1, 2, 2),
+                                    (5, 1, 2, 3)], ids=str)
+def test_power_sum_table_matches_point_sums(params):
+    """Each bit of the table against sum_P v_P x^a y^b taken point by
+    point, for every a up to u(q - 1) and b up to 2(q^{r-1} - 1), and the
+    row of the reduced exponent for every a up to 2u(q - 1)."""
+    curve = make_curve(*params)
+    fld = curve.field
+    period = curve.u * (curve.q - 1)
+    top = 2 * (curve.q ** (curve.r - 1) - 1)
+    table = codes._power_sum_table(curve)
+    assert len(table) == period + 1
+    assert all(row >> (top + 1) == 0 for row in table)
+    points = enumerate_points(curve)
+    for a in range(2 * period + 1):
+        row = table[_x_exponent(curve, a)]
+        for b in range(top + 1):
+            total = 0
+            for x, y in points:
+                term = fld.mul(fld.pow(x, a), fld.pow(y, b))
+                total = fld.add(total, fld.mul(codes._duality_twist(curve, x),
+                                               term))
+            assert bool(row >> b & 1) == bool(total), (a, b)
+
+
+@pytest.mark.parametrize("params", [(2, 1, 4, 3), (2, 1, 4, 5), (3, 1, 2, 2),
+                                    (5, 1, 2, 3)], ids=str)
+def test_check_duality_matches_matrix_route_on_any_weight_pair(params,
+                                                               monkeypatch):
+    """Weights s and s2 that need not be dual: the check reads the table
+    rows of exponent sums past u(q - 1) and of every height."""
+    curve = make_curve(*params)
+    rng = random.Random(str(params))
+    pairs = [(rng.randrange(curve.max_weight + 1),
+              rng.randrange(curve.max_weight + 1)) for _ in range(20)]
+    for s, s2 in pairs:
+        monkeypatch.setattr(codes, "dual_weight", lambda curve, s: s2)
+        rep = check_duality(curve, s)
+        assert rep.orthogonal == matrix_duality(curve, s, s2)[0], (s, s2)
+
+
 def test_check_duality_rejects_untwisted_sums(monkeypatch):
     curve = make_curve(3, 1, 2, 2)  # u = 2 is not 1 mod 3
+    # The power-sum table is built once per curve: rebuild it under the
+    # patched twist, and drop that table afterwards.
+    codes._power_sum_table.cache_clear()
     monkeypatch.setattr(codes, "_duality_twist", lambda curve, x: 1)
-    for s in range(curve.n + 2 * curve.genus - 1):
-        rep = check_duality(curve, s)
-        assert not rep.orthogonal
-        assert not matrix_duality(curve, s, rep.s_dual, twisted=False)[0]
+    try:
+        for s in range(curve.n + 2 * curve.genus - 1):
+            rep = check_duality(curve, s)
+            assert not rep.orthogonal
+            assert not matrix_duality(curve, s, rep.s_dual, twisted=False)[0]
+    finally:
+        codes._power_sum_table.cache_clear()
 
 
 @pytest.mark.parametrize("params", [(3, 1, 2, 2), (2, 1, 4, 3),

@@ -1,5 +1,6 @@
 import random
 import tracemalloc
+from collections import Counter
 from itertools import combinations, product
 
 import pytest
@@ -7,13 +8,14 @@ import pytest
 from normtrace.curves import make_curve
 from normtrace.distance import (BudgetExceeded, _columns,
                                 _first_dependent_set, _information_sets,
+                                _order_bound_counts,
                                 exact_min_distance_enum,
                                 exact_min_distance_parity, geil_bound,
                                 is_even_weight)
 from normtrace.fields import FieldError, make_field
 from normtrace.linalg import (DigitLanes, LinearCode, kernel,
                               parity_check_rows, rank, row_packing,
-                              row_space_basis)
+                              row_space_basis, rref)
 from normtrace.monomials import footprint, footprint_paper_variant, weight
 from normtrace.subfield import subfield_subcode_of_ent
 
@@ -62,6 +64,59 @@ def test_geil_bound_matches_pairwise_definition():
             for s in range(top + 2):
                 assert geil_bound(curve, s, variant) == bound(s), \
                     (params, variant, s)
+
+
+def order_bound_counts_by_pairs(curve, variant):
+    """(w(P), count) per monomial weight, counted over every pair of
+    weights in the multiset of monomial weights."""
+    delta = footprint(curve) if variant == "footprint" \
+        else footprint_paper_variant(curve)
+    counts = Counter(weight(curve, m) for m in delta)
+    return tuple((wp, sum(c for wk, c in counts.items() if wk - wp in counts))
+                 for wp in counts)
+
+
+@pytest.mark.parametrize("params", [(2, 1, 4, 3), (2, 1, 4, 5), (3, 1, 2, 4),
+                                    (2, 2, 2, 5), (2, 1, 6, 3)], ids=str)
+def test_popcount_order_bound_counts_match_pair_count(params):
+    curve = make_curve(*params)
+    for variant in ("footprint", "paper"):
+        assert _order_bound_counts(curve, variant) == \
+            order_bound_counts_by_pairs(curve, variant)
+
+
+def information_sets_by_elimination(code):
+    """The information-set forms with every form, the first included,
+    taken by an elimination of the generators."""
+    n, k = code.n, code.k
+    forms = []
+    unused = list(range(n))
+    while len(unused) >= k:
+        taken = set(unused)
+        order = unused + [c for c in range(n) if c not in taken]
+        basis, pivots = rref([[row[c] for c in order]
+                              for row in code.generators], code.field)
+        if pivots[-1] >= len(unused):
+            break
+        position = sorted(range(n), key=order.__getitem__)
+        forms.append([[row[i] for i in position] for row in basis])
+        taken = {order[i] for i in pivots}
+        unused = [c for c in unused if c not in taken]
+    return forms
+
+
+@pytest.mark.parametrize("params,s,t", [((2, 1, 4, 3), 36, 2),
+                                        ((3, 1, 2, 4), 16, 3),
+                                        ((2, 1, 6, 3), 64, 2),
+                                        ((3, 1, 3, 13), 121, 3)], ids=str)
+def test_information_sets_start_from_the_code_form(params, s, t):
+    """The [32,25,4], [27,8,11], [128,3] and [243,10] enumeration codes:
+    the first form is the code's own, and every form is the one an
+    elimination per form gives."""
+    code = subfield_subcode_of_ent(make_curve(*params), s, t)
+    forms = _information_sets(code)
+    assert forms[0] == [list(row) for row in code.generators]
+    assert forms == information_sets_by_elimination(code)
 
 
 def test_geil_bound_variants_reportable():

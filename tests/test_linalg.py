@@ -176,6 +176,13 @@ def test_lane_multiples_match_field_products(fld):
     for c in fld.elements():
         assert packing.unpack(times[packing.key(c)]) == [fld.mul(c, v)
                                                          for v in row]
+    # A fresh map read from the top down: a product built on first use
+    # first builds the ones it comes from.  And one product alone.
+    times = packing.multiples(v)
+    for c in reversed(fld.elements()):
+        assert packing.unpack(times[packing.key(c)]) == \
+            packing.unpack(packing.scale(c, v)) == [fld.mul(c, v)
+                                                    for v in row]
     # Sums and weights: row plus a random row, plus -row and plus zero.
     rng = random.Random(fld.order)
     others = [[rng.randrange(fld.order) for _ in row],
