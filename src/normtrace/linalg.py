@@ -218,31 +218,21 @@ class LaneRows(_Packing):
                 w ^= v
         return w
 
-    def multiples(self, v: int):
-        """The map key(c) -> c * v, each product one XOR of an image
-        x^k * v into a product already built.
+    def multiples(self, v: int) -> list:
+        """The list key(c) -> c * v of all 2^e products.  Once the products
+        for c < 2^k are built, those for 2^k <= c < 2^(k+1) are each one
+        XOR of the image x^k * v into the product for c - 2^k.
 
-        Up to order 64 the map is a list of all 2^e products, built in
-        Gray-code order, where the k-th code differs from the one before
-        in the lowest set bit of k.  Over F_128 and F_256 a product is
-        built on first use, from the one with the lowest set bit of c
-        cleared, since a short elimination, such as a node of the parity
-        search, uses few of the 2^e products of a pivot.
+        Built whole at every order: over F_16 to F_256 this made rref of
+        curve matrices 1.5-2.0 times faster than products built on first
+        use, and the parity search of short random codes, which uses few
+        products of each pivot, within 5% of it or faster (CPython 3.11.7,
+        2 vCPUs).
         """
-        images = [v]
+        times = [0, v]
         for _ in range(self.e - 1):
             v = self._times_x(v)
-            images.append(v)
-        if self.e <= 6:
-            times = [0] * (1 << self.e)
-            w = 0
-            for k in range(1, 1 << self.e):
-                w ^= images[(k & -k).bit_length() - 1]
-                times[k ^ k >> 1] = w
-            return times
-        times = _Products(lambda c: times[c & c - 1] ^
-                          images[(c & -c).bit_length() - 1])
-        times[0] = 0
+            times += [w ^ v for w in times]
         return times
 
     def monic(self, v: int) -> int:

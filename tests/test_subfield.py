@@ -8,8 +8,7 @@ from normtrace.fields import embedding, make_field
 from normtrace.linalg import LinearCode, kernel, rank, row_space_basis, rref
 from normtrace.monomials import footprint, monomials_up_to
 from normtrace.reduction import (SparsePolynomial, frobenius_power,
-                                 monomial_normal_form, monomial_poly,
-                                 normal_form)
+                                 monomial_poly, normal_form)
 from normtrace.subfield import (FrobeniusInvariance, _trace_pass, _TracePass,
                                 code_frobenius, is_frobenius_invariant,
                                 subfield_subcode_dim,
@@ -186,29 +185,6 @@ def rewriting_trace_span(curve, s, t):
     return tuple(reduced), rank(rows, curve.field) if rows else 0
 
 
-def per_weight_trace_span(curve, s, t):
-    """(reduced generators, rank) of the trace span, taken for this s
-    alone: the normal form of every Frobenius power of every monomial of
-    weight at most s, and one elimination of their coefficient vectors over
-    the curve's field."""
-    fld = curve.field
-    seen, reduced = set(), []
-    for i, j in monomials_up_to(curve, s):
-        for k in range(fld.subfield_degree(t)):
-            nf = monomial_normal_form(curve, i * t**k, j * t**k)
-            if nf.terms not in seen:
-                seen.add(nf.terms)
-                reduced.append(nf)
-    index = {mono: i for i, mono in enumerate(footprint(curve))}
-    rows = []
-    for nf in reduced:
-        row = [0] * curve.n
-        for mono, c in nf.terms:
-            row[index[mono]] = c
-        rows.append(row)
-    return tuple(reduced), rank(rows, fld)
-
-
 def rewriting_invariance(curve, s, t):
     allowed = set(monomials_up_to(curve, s))
     for mono in sorted(allowed):
@@ -227,31 +203,26 @@ SPAN_CASES = [((2, 1, 4, 3), (2, 4), 1), ((2, 1, 4, 5), (2, 4), 3),
 
 @pytest.mark.parametrize("params,ts,stride", SPAN_CASES, ids=str)
 def test_trace_span_matches_rewriting_route(params, ts, stride):
-    curve = make_curve(*params)
-    for s in range(0, curve.max_weight + 2, stride):
-        for t in ts:
-            span = trace_span(curve, s, t)
-            expect = rewriting_trace_span(curve, s, t)
-            assert (span.reduced_generators, span.dimension) == expect
-
-
-@pytest.mark.parametrize("params,ts,stride", SPAN_CASES, ids=str)
-def test_trace_pass_matches_per_weight_span(params, ts, stride):
-    """The per-curve pass gives, at every s, what a trace span taken for
-    that s alone gives, whatever order the weights are asked in."""
+    """The per-curve pass, asked every weight in ascending, descending and
+    shuffled order from a cleared cache, answers each s the same in all
+    three, and as the rewriting route does at s = -1 and at the stride."""
     curve = make_curve(*params)
     weights = list(range(-1, curve.max_weight + 2))
     shuffled = weights[:]
     random.Random(str(params)).shuffle(shuffled)
     for t in ts:
-        expect = {s: per_weight_trace_span(curve, s, t) for s in weights}
+        answers = []
         for order in (weights, weights[::-1], shuffled):
             _trace_pass.cache_clear()
+            answer = {}
             for s in order:
                 span = trace_span(curve, s, t)
-                assert (span.reduced_generators, span.dimension) == \
-                    expect[s], (t, s)
                 assert (span.s, span.t) == (s, t)
+                answer[s] = (span.reduced_generators, span.dimension)
+            answers.append(answer)
+        assert answers[0] == answers[1] == answers[2]
+        for s in (-1, *range(0, curve.max_weight + 2, stride)):
+            assert answers[0][s] == rewriting_trace_span(curve, s, t), (t, s)
     _trace_pass.cache_clear()
 
 
