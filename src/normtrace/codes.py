@@ -14,9 +14,14 @@ for (a, b) a sum of exponents of a weight-<=s and a weight-<=s' monomial.
 Which S(a, b) vanish is one table per curve, built on first use over the
 reduced X exponents a <= u(q-1) (x^{u(q-1)+1} = x at every point) and every
 Y exponent sum; a check reads the staircase of exponent sums of M(s) and
-M(s') in it.  Footprint monomials evaluate independently (build_code
-asserts this for every code it builds), so each dimension is a count of
-monomials.
+M(s') in it.
+
+Footprint monomials evaluate to a basis of the functions on the points,
+so each dimension is a count of monomials.  footprint_is_basis proves this
+once per curve without an elimination: with the points sorted by x into
+fibers, the n x n evaluation matrix of the footprint is a Kronecker product
+of Vandermonde matrices times a block diagonal of Vandermonde matrices.
+build_code still checks the rank of every code whose generators it builds.
 
 build_code evaluates the monomials fiber by fiber: the points are sorted by
 x, so a row is x^i times each fiber's y^j, one scaling per fiber.
@@ -30,7 +35,7 @@ from itertools import accumulate, groupby
 
 from .curves import CurveSpec, enumerate_points
 from .linalg import LinearCode, row_space_basis
-from .monomials import monomials_up_to
+from .monomials import footprint, monomials_up_to
 from .reduction import _x_exponent
 
 
@@ -68,6 +73,51 @@ def _monomial_rows(curve: CurveSpec, monos) -> list:
         row = type(ys)(map(power.__getitem__, ys))
         yfibers[j] = [row[a:b] for a, b in zip(bounds, bounds[1:])]
     return [join(map(scale, xpow[i], yfibers[j])) for i, j in monos]
+
+
+def _fibers(curve: CurveSpec) -> dict:
+    """x -> the list of y with (x, y) a point, in point order."""
+    fibers = {}
+    for x, y in enumerate_points(curve):
+        fibers.setdefault(x, []).append(y)
+    return fibers
+
+
+@lru_cache(maxsize=None)
+def footprint_is_basis(curve: CurveSpec) -> bool:
+    """True: the footprint monomials evaluate to a basis of the functions on
+    the points.  Raises AssertionError, as build_code does for dependent
+    evaluations, when a hypothesis of the proof below fails.
+
+    Let m = q^{r-1}.  Order the footprint as the box of X^i Y^j,
+    0 <= i <= u(q-1), 0 <= j < m, and the points by x into fibers.  The
+    n x n matrix M with entry x^i y^j in row (i, j) and column (x, y) has
+    the m x m block x^i V_x in block row i and fiber x, where
+    V_x[j][y] = y^j.  So M = (A (x) I_m) diag(V_x) with A[i][x] = x^i, and
+    det M = det(A)^m prod_x det(V_x).  These are Vandermonde determinants:
+    nonzero when there are u(q-1) + 1 distinct x's, A being square, and each
+    fiber holds m distinct y's.  The check reads each point and monomial
+    once, with no field arithmetic.
+    """
+    m = curve.weight_x
+    height = curve.u * (curve.q - 1) + 1
+    fibers = _fibers(curve)
+    faults = []
+    if len(fibers) != height:
+        faults.append(f"{len(fibers)} fibers, expected {height}")
+    faults.extend(f"fiber x={x} holds {len(set(ys))} distinct of {len(ys)} "
+                  f"y's, expected {m}"
+                  for x, ys in fibers.items()
+                  if not len(set(ys)) == len(ys) == m)
+    monos = footprint(curve)
+    box = {(i, j) for i in range(height) for j in range(m)}
+    if len(monos) != len(box) or set(monos) != box:
+        faults.append(f"footprint is not the box i <= {height - 1}, "
+                      f"j <= {m - 1}")
+    if faults:
+        raise AssertionError("footprint evaluations are not proved "
+                             "independent: " + "; ".join(faults))
+    return True
 
 
 def affine_variety_code(points, polys, fld) -> LinearCode:
@@ -167,11 +217,8 @@ def _power_sum_table(curve: CurveSpec) -> tuple:
     fld = curve.field
     period = curve.u * (curve.q - 1)
     top = 2 * (curve.q ** (curve.r - 1) - 1)
-    fibers = {}
-    for x, y in enumerate_points(curve):
-        fibers.setdefault(x, []).append(y)
     classes = {}
-    for x, ys in fibers.items():
+    for x, ys in _fibers(curve).items():
         classes.setdefault(tuple(ys), []).append(x)
     factors = []
     for ys, xs in classes.items():
@@ -208,7 +255,8 @@ def check_duality(curve: CurveSpec, s: int) -> DualityReport:
     every X^i Y^j' for j' < j, so the exponent sums with a given a are the
     (a, b) for b up to the largest j + j' over the pairs with i + i' = a: a
     staircase, read from the table with one mask per a.  The dimensions
-    are |M(s)| and |M(s')|: footprint monomials evaluate independently.
+    are |M(s)| and |M(s')|: footprint monomials evaluate independently
+    (footprint_is_basis).
     """
     s_dual = dual_weight(curve, s)
     monos = monomials_up_to(curve, s)

@@ -9,7 +9,7 @@ n = q^{r-1} (u(q-1) + 1) affine rational points.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .fields import FieldError, FiniteField, make_field
 
@@ -20,7 +20,11 @@ class CurveError(ValueError):
 
 @dataclass(frozen=True)
 class CurveSpec:
-    """Parameters and derived constants of one extended Norm-Trace curve."""
+    """Parameters and derived constants of one extended Norm-Trace curve.
+
+    The derived constants are computed once per instance, on first access;
+    equality, hashing and repr read only (p, l, r, u).
+    """
 
     p: int
     l: int
@@ -41,7 +45,7 @@ class CurveSpec:
         # Forces construction errors (bad p, field too large) at curve time.
         make_field(self.p, self.l * self.r)
 
-    @property
+    @cached_property
     def q(self) -> int:
         return self.p**self.l
 
@@ -50,15 +54,15 @@ class CurveSpec:
         """The big field F_{q^r} the curve lives over."""
         return make_field(self.p, self.l * self.r)
 
-    @property
+    @cached_property
     def n(self) -> int:
         return self.q ** (self.r - 1) * (self.u * (self.q - 1) + 1)
 
-    @property
+    @cached_property
     def genus(self) -> int:
         return (self.q ** (self.r - 1) - 1) * (self.u - 1) // 2
 
-    @property
+    @cached_property
     def weight_x(self) -> int:
         return self.q ** (self.r - 1)
 
@@ -66,7 +70,7 @@ class CurveSpec:
     def weight_y(self) -> int:
         return self.u
 
-    @property
+    @cached_property
     def max_weight(self) -> int:
         """Largest monomial weight occurring in the footprint, n + 2g - 1."""
         return self.n + 2 * self.genus - 1

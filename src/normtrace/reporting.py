@@ -14,8 +14,8 @@ import os
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
-from .codes import build_code, check_duality, dual_weight, \
-    dual_weight_printed_formula
+from .codes import check_duality, dual_weight, \
+    dual_weight_printed_formula, footprint_is_basis
 from .curves import CurveSpec, make_curve
 from .distance import DEFAULT_BUDGET, BudgetExceeded, exact_min_distance_parity, \
     geil_bound, is_even_weight
@@ -87,7 +87,7 @@ def run_report(p: int, l: int, r: int, u: int, s: int, t: int,
     the distance computation entirely.
     """
     curve = make_curve(p, l, r, u)
-    supercode = build_code(curve, s)
+    footprint_is_basis(curve)
     s_dual = dual_weight(curve, s)
     duality = check_duality(curve, s)
     if not duality.ok:
@@ -139,7 +139,7 @@ def run_report(p: int, l: int, r: int, u: int, s: int, t: int,
 
     return CodeReport(
         p=p, l=l, r=r, u=u, n=curve.n, genus=curve.genus, s=s, t=t,
-        dim_supercode=supercode.k,
+        dim_supercode=duality.dim_s,
         dual_weight_used=s_dual,
         trace_dim_of_dual=trace_dim,
         dim_subfield=dim_sub,

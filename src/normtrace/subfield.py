@@ -65,13 +65,27 @@ class _TracePass:
 
     Monomial X^i Y^j brings its powers X^{i t^k} Y^{j t^k}, k < m, in turn.
     Each power is first brought to its canonical exponents (X as in
-    _x_exponent, Y as in _y_exponent), which fix its normal form; an
-    exponent pair seen before is skipped before any normal form is taken,
-    and so is a normal form seen before.  Each new normal form is reduced
+    _x_exponent, Y as in _y_exponent), which fix its normal form, and an
+    exponent pair seen before is skipped.  Each new normal form is reduced
     against an echelon basis kept over F_p: the generators of the curve
     ideal have coefficients in F_p, so every normal form of a monomial does
     too, and a rank does not change when the field is extended.  The pass
     goes only as far as the highest weight asked so far.
+
+    Distinct canonical pairs give distinct normal forms, so no form is
+    seen twice.  The pairs reached have a, a' <= P = u(q-1) and
+    b, b' <= N - 1 with N = q^r - 1: j t^k is below q^{r-1} or reduces
+    into 1 .. N, and N divides j t^k only for j = 0, since t is prime to
+    N.  Equal normal forms mean x^a y^b = x^a' y^b' at every point.
+    The x with x^u = Tr(y) != 0 form a coset of the u-th roots of unity,
+    so u divides a - a' = ue, and y^(b'-b) = Tr(y)^e on T = {Tr(y) != 0}.
+    Then y^D, D = b' - b mod N, is constant on each hyperplane
+    Tr(y) = c != 0, and so is y^g with g = gcd(D, N), which has the same
+    level sets on the units.  If D != 0 then g <= N/2 < |T|, and for
+    z != 0 with Tr(z) = 0, (Y + z)^g - Y^g has degree below g, vanishes
+    on T and has constant term z^g != 0: impossible.  So b = b', then
+    Tr(y)^e = 1 on T makes q - 1 divide e and P divide a - a', and the
+    one case left, {a, a'} = {0, P}, differs at (0, z).
     """
 
     def __init__(self, curve: CurveSpec, t: int):
@@ -82,7 +96,6 @@ class _TracePass:
         self.origins = []  # weight of the monomial each form came from
         self.ranks = []  # rank of forms[:i + 1]
         self.exponents = set()
-        self.terms = set()
         self.index = {mono: i for i, mono in enumerate(footprint(curve))}
         self.packing = row_packing(make_field(curve.p, 1), curve.n)
         self.basis = {}  # pivot column -> pivot_multiples of its row
@@ -100,9 +113,6 @@ class _TracePass:
                     continue
                 self.exponents.add(key)
                 nf = monomial_normal_form(curve, *key)
-                if nf.terms in self.terms:
-                    continue
-                self.terms.add(nf.terms)
                 rank = self.ranks[-1] if self.ranks else 0
                 self.forms.append(nf)
                 self.origins.append(weights[pos])
@@ -139,8 +149,9 @@ def trace_span(curve: CurveSpec, s: int, t: int) -> TraceSpanResult:
     """Span data of Tr_{F_{q^r}/F_t}(NT_u(s)), via Groebner normal forms.
 
     The trace code is the evaluation code of all m^{t^i} reduced modulo the
-    curve ideal; since footprint monomials evaluate independently, its
-    dimension is the rank of the reduced coefficient vectors.  Each m^{t^i}
+    curve ideal; since footprint monomials evaluate to a basis of the
+    functions on the points (codes.footprint_is_basis), its dimension is
+    the rank of the reduced coefficient vectors.  Each m^{t^i}
     is a monomial, so its normal form comes from monomial_normal_form.  The
     forms and ranks are read from one pass per curve and t (_TracePass):
     the forms whose monomial has weight at most s, and their rank.

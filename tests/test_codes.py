@@ -4,7 +4,8 @@ import pytest
 
 from normtrace import codes
 from normtrace.codes import (affine_variety_code, build_code, check_duality,
-                             dual_weight, dual_weight_printed_formula)
+                             dual_weight, dual_weight_printed_formula,
+                             footprint_is_basis)
 from normtrace.curves import enumerate_points, make_curve
 from normtrace.fields import make_field
 from normtrace.monomials import footprint, monomials_up_to
@@ -66,6 +67,21 @@ def test_fiberwise_rows_match_per_entry_evaluation(params):
     assert [list(row) for row in codes._monomial_rows(curve, some)] == [
         [fld.mul(fld.pow(x, i), fld.pow(y, j)) for x, y in points]
         for i, j in some]
+
+
+# NT3, NT5 and the evaluation curves up to F_64, and (17,1,2,1) over F_289
+# for a field of order above 256.  No curve has n below its field's order,
+# and the n x n elimination over F_289 (about 8 s) is half that over F_512.
+BASIS_CURVES = [(2, 1, 4, 3), (2, 1, 4, 5), (2, 1, 2, 3), (3, 1, 2, 4),
+                (2, 2, 2, 5), (5, 1, 2, 6), (3, 1, 3, 13), (2, 1, 6, 3),
+                (17, 1, 2, 1)]
+
+
+@pytest.mark.parametrize("params", BASIS_CURVES, ids=str)
+def test_footprint_is_basis_agrees_with_elimination(params):
+    curve = make_curve(*params)
+    assert footprint_is_basis(curve) is (
+        build_code(curve, curve.max_weight).k == curve.n)
 
 
 def test_dual_weight():

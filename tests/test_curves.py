@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from normtrace.curves import CurveError, enumerate_points, make_curve
@@ -67,3 +69,16 @@ def test_curve_field():
     assert NT3.field == make_field(2, 4)
     assert NT3.max_weight == 45
     assert NT5.max_weight == 75
+
+
+def test_derived_values_leave_identity_unchanged():
+    fresh = make_curve(2, 1, 4, 3)
+    used = make_curve(2, 1, 4, 3)
+    assert (used.q, used.n, used.genus, used.weight_x, used.max_weight) == \
+        (2, 32, 7, 8, 45)
+    assert used == fresh and hash(used) == hash(fresh)
+    assert repr(used) == repr(fresh) == "CurveSpec(p=2, l=1, r=4, u=3)"
+    assert [f.name for f in dataclasses.fields(used)] == ["p", "l", "r", "u"]
+    assert used != make_curve(2, 1, 4, 5)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        used.u = 5

@@ -1,10 +1,13 @@
+import dataclasses
 import json
 
 import pytest
 
+from normtrace import codes
 from normtrace.cli import main
-from normtrace.curves import make_curve
+from normtrace.curves import enumerate_points, make_curve
 from normtrace.codes import build_code
+from normtrace.monomials import footprint
 from normtrace.distance import BudgetExceeded
 from normtrace.reporting import (CacheError, CodeReport, export_matrix,
                                  import_matrix, read_cache, run_report, sweep)
@@ -24,6 +27,69 @@ def test_run_report_binary_example():
 def test_run_report_full_space():
     rep = run_report(2, 1, 4, 3, 45, 2)
     assert (rep.n, rep.dim_subfield, rep.exact_distance) == (32, 32, 1)
+
+
+@pytest.fixture
+def mutated(monkeypatch):
+    """monkeypatch, with the per-curve tables of codes emptied before the
+    test and again before its patches are undone."""
+    tables = (codes.footprint_is_basis, codes.build_code,
+              codes._power_sum_table)
+    for table in tables:
+        table.cache_clear()
+    yield monkeypatch
+    for table in tables:
+        table.cache_clear()
+
+
+def _short_fiber(points):
+    """The last point moved into the fiber x = 0, which then holds m + 1
+    y's and leaves its own fiber with m - 1."""
+    (x0, _), (_, y) = points[0], points[-1]
+    return tuple(sorted(points[:-1] + ((x0, y),)))
+
+
+def _repeated_point(points):
+    """The last point replaced by the one before it, in the same fiber."""
+    return points[:-1] + points[-2:-1]
+
+
+def _missing_fiber(points):
+    """The points without the last fiber."""
+    return tuple(point for point in points if point[0] != points[-1][0])
+
+
+@pytest.mark.parametrize(
+    "mutation", [_short_fiber, _repeated_point, _missing_fiber, None],
+    ids=["short fiber", "repeated point", "missing fiber",
+         "monomial off the box"])
+def test_report_rejects_unproved_basis_at_every_s(mutated, mutation):
+    if mutation:
+        points = mutation(enumerate_points(NT3))
+        mutated.setattr(codes, "enumerate_points", lambda curve: points)
+    if mutation in (_short_fiber, _repeated_point):
+        # The evaluations are dependent, but not those of weight <= 0.
+        with pytest.raises(AssertionError, match="dependent"):
+            build_code(NT3, NT3.max_weight)
+        assert build_code(NT3, 0).k == 1
+    elif mutation is None:
+        monos = footprint(NT3)[:-1] + ((0, NT3.weight_x),)
+        mutated.setattr(codes, "footprint", lambda curve: monos)
+    for s in range(-1, NT3.max_weight + 2):
+        with pytest.raises(AssertionError, match="not proved independent"):
+            run_report(2, 1, 4, 3, s, 2, exact=False)
+
+
+@pytest.mark.parametrize("params,t", [((3, 1, 2, 4), 3), ((2, 2, 2, 5), 4)],
+                         ids=str)
+def test_sweep_dimensions_match_elimination(params, t):
+    curve = make_curve(*params)
+    weights = range(curve.max_weight + 1)
+    reports = sweep(*params, weights, t, exact=False)
+    assert reports == [
+        dataclasses.replace(rep, dim_supercode=build_code(curve, s).k)
+        for s, rep in zip(weights, reports)]
+    assert [rep.s for rep in reports] == list(weights)
 
 
 def test_report_json_round_trip():

@@ -8,7 +8,8 @@ from normtrace.fields import embedding, make_field
 from normtrace.linalg import LinearCode, kernel, rank, row_space_basis, rref
 from normtrace.monomials import footprint, monomials_up_to
 from normtrace.reduction import (SparsePolynomial, frobenius_power,
-                                 monomial_poly, normal_form)
+                                 monomial_normal_form, monomial_poly,
+                                 normal_form)
 from normtrace.subfield import (FrobeniusInvariance, _trace_pass, _TracePass,
                                 code_frobenius, is_frobenius_invariant,
                                 subfield_subcode_dim,
@@ -224,6 +225,27 @@ def test_trace_span_matches_rewriting_route(params, ts, stride):
         for s in (-1, *range(0, curve.max_weight + 2, stride)):
             assert answers[0][s] == rewriting_trace_span(curve, s, t), (t, s)
     _trace_pass.cache_clear()
+
+
+@pytest.mark.parametrize("params,ts", [
+    ((2, 2, 2, 5), (2, 4)), ((5, 1, 2, 6), (5,)), ((3, 1, 3, 13), (3,)),
+    ((2, 1, 4, 15), (2, 4))], ids=str)
+def test_canonical_exponents_give_distinct_normal_forms(params, ts):
+    """The lemma of _TracePass: X^a Y^b, a <= u(q-1), b < q^r - 1, have
+    pairwise distinct normal forms, so a whole-curve pass meets no form
+    twice.  At b = q^r - 1, which no Frobenius power reaches, it fails."""
+    curve = make_curve(*params)
+    top = curve.field.order - 1
+    pairs = [(a, b) for a in range(curve.u * (curve.q - 1) + 1)
+             for b in range(top)]
+    forms = {monomial_normal_form(curve, a, b).terms for a, b in pairs}
+    assert len(forms) == len(pairs)
+    assert monomial_normal_form(curve, 1, 0) == \
+        monomial_normal_form(curve, 1, top)
+    for t in ts:
+        span = _TracePass(curve, t)
+        span.extend_to(curve.max_weight)
+        assert len({nf.terms for nf in span.forms}) == len(span.forms)
 
 
 def test_trace_pass_rejects_coefficients_outside_prime_field():
