@@ -120,11 +120,7 @@ def _run(args) -> int:
         rep = run_report(args.p, args.l, args.r, args.u, args.s, args.t,
                          exact=True if args.exact else None,
                          budget=args.budget)
-        if args.as_json:
-            print(rep.to_json())
-        else:
-            for k, v in json.loads(rep.to_json()).items():
-                print(f"{k}: {v}")
+        _emit(args, json.loads(rep.to_json()))
     elif cmd == "dual":
         c = make_curve(args.p, args.l, args.r, args.u)
         repd = check_duality(c, args.s)

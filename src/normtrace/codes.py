@@ -34,6 +34,7 @@ from functools import lru_cache
 from itertools import accumulate, groupby
 
 from .curves import CurveSpec, enumerate_points
+from .fields import field_sum
 from .linalg import LinearCode, row_space_basis
 from .monomials import footprint, monomials_up_to
 from .reduction import _x_exponent
@@ -197,13 +198,6 @@ def _duality_twist(curve: CurveSpec, x: int) -> int:
     return fld.neg(fld.inv(curve.u % curve.p) if x else 1)
 
 
-def _field_sum(fld, values) -> int:
-    total = 0
-    for v in values:
-        total = fld.add(total, v)
-    return total
-
-
 @lru_cache(maxsize=None)
 def _power_sum_table(curve: CurveSpec) -> tuple:
     """For each X exponent a = 0 .. u(q-1), the int whose bit b is set when
@@ -224,14 +218,14 @@ def _power_sum_table(curve: CurveSpec) -> tuple:
     for ys, xs in classes.items():
         twisted = [(x, _duality_twist(curve, x)) for x in xs]
         factors.append((
-            [_field_sum(fld, (fld.mul(v, fld.pow(x, a)) for x, v in twisted))
+            [field_sum(fld, (fld.mul(v, fld.pow(x, a)) for x, v in twisted))
              for a in range(period + 1)],
-            [_field_sum(fld, (fld.pow(y, b) for y in ys))
+            [field_sum(fld, (fld.pow(y, b) for y in ys))
              for b in range(top + 1)]))
     return tuple(
         sum(1 << b for b in range(top + 1)
-            if _field_sum(fld, (fld.mul(xsum[a], ysum[b])
-                                for xsum, ysum in factors)))
+            if field_sum(fld, (fld.mul(xsum[a], ysum[b])
+                               for xsum, ysum in factors)))
         for a in range(period + 1))
 
 
@@ -258,6 +252,7 @@ def check_duality(curve: CurveSpec, s: int) -> DualityReport:
     are |M(s)| and |M(s')|: footprint monomials evaluate independently
     (footprint_is_basis).
     """
+    footprint_is_basis(curve)
     s_dual = dual_weight(curve, s)
     monos = monomials_up_to(curve, s)
     dual_monos = monomials_up_to(curve, s_dual)

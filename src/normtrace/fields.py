@@ -8,6 +8,13 @@ fall back to polynomial arithmetic modulo the field's irreducible modulus.
 `scale_row` takes one `mul` per entry; linalg's EntryRows scales rows with
 it over the fields whose entries do not fit byte lanes (order above 256, or
 characteristic from 131 to 251).
+
+A SubfieldEmbedding of F_t in F_{t^m} is one pair of tables, built with it:
+the image of each element of F_t, and each coordinate of each element of
+F_{t^m} over F_t.  embed, decompose, project and recompose read them;
+callers that want another layout (the subfield oracle's 256-byte translate
+tables) make it from them.  subfield_degree decides which orders t are
+subfield orders, raising FieldError for the others.
 """
 
 from __future__ import annotations
@@ -295,20 +302,9 @@ class FiniteField:
 
     # -- structure --
 
-    def is_subfield_order(self, t: int) -> bool:
-        """Whether F_t sits inside this field (t = p^d with d | e)."""
-        if t < 2:
-            return False
-        d = 0
-        while t % self.p == 0 and t > 1:
-            t //= self.p
-            d += 1
-        return t == 1 and d >= 1 and self.e % d == 0
-
     def frobenius(self, a: int, t: int) -> int:
         """The automorphism a -> a^t for a subfield order t."""
-        if not self.is_subfield_order(t):
-            raise FieldError(f"{t} is not a subfield order of F_{self.order}")
+        self.subfield_degree(t)
         return self.pow(a, t)
 
     def subfield_degree(self, t: int) -> int:
@@ -326,12 +322,8 @@ class FiniteField:
 
         Computes sum of a^{t^i} for 0 <= i < m where order = t^m.
         """
-        out = 0
-        cur = a
-        for _ in range(self.subfield_degree(t)):
-            out = self.add(out, cur)
-            cur = self.pow(cur, t)
-        return out
+        return field_sum(self, (self.pow(a, t**i)
+                                for i in range(self.subfield_degree(t))))
 
     def __repr__(self):
         return f"FiniteField(p={self.p}, e={self.e})"
@@ -344,6 +336,14 @@ class FiniteField:
         return hash((self.p, self.e))
 
 
+def field_sum(fld: FiniteField, values) -> int:
+    """The sum of the field elements in values."""
+    total = 0
+    for v in values:
+        total = fld.add(total, v)
+    return total
+
+
 @lru_cache(maxsize=None)
 def make_field(p: int, e: int) -> FiniteField:
     """Canonical F_{p^e} with the deterministic smallest-encoding modulus."""
@@ -351,12 +351,17 @@ def make_field(p: int, e: int) -> FiniteField:
 
 
 class SubfieldEmbedding:
-    """The canonical embedding of F_t into F_{t^m}.
+    """The canonical embedding of F_t into F_{t^m}, as two tables.
 
     The image of the small field's polynomial-basis generator is the root of
-    the small modulus in the big field with smallest integer encoding.  The
+    the small modulus in the big field with smallest integer encoding, and
+    `images[a]` is the image of each small-field element a.  The
     decomposition basis of big over small is 1, g, ..., g^{m-1} for the big
-    field's polynomial-basis generator g, which has degree m over F_t.
+    field's polynomial-basis generator g, which has degree m over F_t, and
+    `components[c][x]` is coordinate c of each big-field element x.  Both
+    tables are built with the embedding, and every map between the two
+    fields reads them.  They hold t + m t^m entries, so they are meant for
+    the field sizes the codes use, not for the 2^20 cap.
     """
 
     def __init__(self, small: FiniteField, big: FiniteField):
@@ -366,101 +371,52 @@ class SubfieldEmbedding:
         self.big = big
         self.m = big.e // small.e
         self.generator_image = self._find_root()
+        powers = [big.pow(self.generator_image, k) for k in range(small.e)]
+        self.images = tuple(
+            field_sum(big, map(big.mul, small.coeffs(a), powers))
+            for a in small.elements())
         g = min(big.p, big.order - 1)  # the polynomial-basis element "x"
-        self._basis = tuple(big.pow(g, j) for j in range(self.m))
-        self._coordinates = None
-        self._components = None
+        self.basis = tuple(big.pow(g, j) for j in range(self.m))
+        terms = [[big.mul(img, b) for img in self.images] for b in self.basis]
+        table = [None] * big.order
+        for coords in product(small.elements(), repeat=self.m):
+            x = field_sum(big, map(list.__getitem__, terms, coords))
+            table[x] = coords
+        # t^m tuples fill t^m slots: an empty slot means a collision.
+        if None in table:
+            raise FieldError(f"{self.basis} is not a basis of "
+                             f"F_{big.order} over F_{small.order}")
+        self.components = tuple(zip(*table))
 
     def _find_root(self):
-        mod = self.small.modulus
-        for z in range(self.big.order):
-            acc = 0
-            zp = 1
-            for c in mod:
-                if c:
-                    acc = self.big.add(acc, self.big.mul(c, zp))
-                zp = self.big.mul(zp, z)
-            if acc == 0:
+        big = self.big
+        for z in big.elements():
+            if not field_sum(big, (big.mul(c, big.pow(z, k))
+                                   for k, c in enumerate(self.small.modulus))):
                 return z
         raise FieldError("no root of the small modulus found")  # unreachable
 
     def embed(self, a: int) -> int:
-        self.small.check(a)
-        out = 0
-        gp = 1
-        for c in self.small.coeffs(a):
-            if c:
-                out = self.big.add(out, self.big.mul(c, gp))
-            gp = self.big.mul(gp, self.generator_image)
-        return out
+        return self.images[self.small.check(a)]
 
     # -- decomposition over the small field --
 
-    @property
-    def basis(self):
-        return list(self._basis)
-
-    @property
-    def coordinates(self):
-        """Table from each big-field element to its coordinate tuple.
-
-        Built once, on first use, by recomposing every tuple in F_t^m; the
-        tuples are shared by every caller.
-        """
-        if self._coordinates is None:
-            big = self.big
-            images = [self.embed(c) for c in self.small.elements()]
-            terms = [[big.mul(img, b) for img in images] for b in self._basis]
-            table = [None] * big.order
-            for coords in product(self.small.elements(), repeat=self.m):
-                x = 0
-                for term, c in zip(terms, coords):
-                    x = big.add(x, term[c])
-                table[x] = coords
-            # t^m tuples fill t^m slots: an empty slot means a collision.
-            if None in table:
-                raise FieldError(f"{self._basis} is not a basis of "
-                                 f"F_{big.order} over F_{self.small.order}")
-            self._coordinates = table
-        return self._coordinates
-
-    @property
-    def components(self):
-        """Per component c < m, the table from each big-field element to its
-        coordinate c.
-
-        Over a big field of order at most 256 each table is 256 bytes, so a
-        bytes row gives its components with `row.translate(table)`; above
-        that each is a tuple read per entry.  Built once, on first use.
-        """
-        if self._components is None:
-            table = self.coordinates
-            if self.big.order <= 256:
-                self._components = tuple(
-                    bytes(coords[c] for coords in table).ljust(256, b"\0")
-                    for c in range(self.m))
-            else:
-                self._components = tuple(
-                    tuple(coords[c] for coords in table)
-                    for c in range(self.m))
-        return self._components
-
     def decompose(self, x: int):
         """Coordinates of x over the small field w.r.t. the chosen basis."""
-        return list(self.coordinates[self.big.check(x)])
+        x = self.big.check(x)
+        return [comp[x] for comp in self.components]
 
     def recompose(self, coords) -> int:
-        out = 0
-        for c, b in zip(coords, self._basis):
-            out = self.big.add(out, self.big.mul(self.embed(c), b))
-        return out
+        big = self.big
+        images = map(self.embed, coords)
+        return field_sum(big, map(big.mul, images, self.basis))
 
     def project(self, x: int) -> int:
         """Pull an element of the embedded small field back to the small field."""
-        coords = self.coordinates[self.big.check(x)]
-        if any(coords[1:]):
+        x = self.big.check(x)
+        if any(comp[x] for comp in self.components[1:]):
             raise FieldError(f"{x} is not in the embedded subfield")
-        return coords[0]
+        return self.components[0][x]
 
     def __repr__(self):
         return f"SubfieldEmbedding(F_{self.small.order} -> F_{self.big.order})"

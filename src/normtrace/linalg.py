@@ -193,8 +193,10 @@ class LaneRows(_Packing):
 
     def back_substitute(self, echelon: list, pivots: list) -> None:
         """As _Packing.back_substitute, with one in-place XOR per entry
-        cleared; the calls to add, reduce and key there made the F_16
-        eliminations of the sweep workload about 9% slower."""
+        cleared.  With the calls to add, reduce and key there, build_code
+        on the five F_16 and F_64 instances of the subcode benchmark took
+        10.6 ms in all against 9.4-9.8 ms (medians of 15, CPython 3.11,
+        2 vCPUs), and its oracles over F_4 and F_8 were 6-15% slower."""
         later = [v.to_bytes(self.width, "little") for v in echelon]
         for j in range(len(echelon) - 1, 0, -1):
             times, col = self.multiples(echelon[j]), pivots[j]

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .curves import CurveSpec
-from .fields import FieldError, FiniteField
+from .fields import FieldError, FiniteField, field_sum
 from .monomials import Monomial, order_key, weight
 
 
@@ -62,11 +62,9 @@ class SparsePolynomial:
     def evaluate(self, point) -> int:
         x, y = point
         fld = self.field
-        acc = 0
-        for (i, j), c in self.terms:
-            v = fld.mul(fld.pow(x, i), fld.pow(y, j))
-            acc = fld.add(acc, fld.mul(c, v))
-        return acc
+        return field_sum(fld, (fld.mul(c, fld.mul(fld.pow(x, i),
+                                                 fld.pow(y, j)))
+                               for (i, j), c in self.terms))
 
     def __add__(self, other: "SparsePolynomial") -> "SparsePolynomial":
         fld = self.field
@@ -235,8 +233,7 @@ def frobenius_power(f: SparsePolynomial, t: int) -> SparsePolynomial:
     raising to the t-th power is additive; then f^(t)(P) = (f(P))^t.
     """
     fld = f.field
-    if not fld.is_subfield_order(t):
-        raise FieldError(f"{t} is not a subfield order of F_{fld.order}")
+    fld.subfield_degree(t)
     return SparsePolynomial.from_dict(
         fld, {(i * t, j * t): fld.pow(c, t) for (i, j), c in f.terms})
 

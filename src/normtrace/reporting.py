@@ -14,8 +14,7 @@ import os
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
-from .codes import check_duality, dual_weight, \
-    dual_weight_printed_formula, footprint_is_basis
+from .codes import check_duality, dual_weight, dual_weight_printed_formula
 from .curves import CurveSpec, make_curve
 from .distance import DEFAULT_BUDGET, BudgetExceeded, exact_min_distance_parity, \
     geil_bound, is_even_weight
@@ -87,7 +86,6 @@ def run_report(p: int, l: int, r: int, u: int, s: int, t: int,
     the distance computation entirely.
     """
     curve = make_curve(p, l, r, u)
-    footprint_is_basis(curve)
     s_dual = dual_weight(curve, s)
     duality = check_duality(curve, s)
     if not duality.ok:

@@ -27,7 +27,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .codes import build_code, dual_weight
+from .codes import build_code, dual_weight, footprint_is_basis
 from .curves import CurveSpec
 from .fields import FieldError, SubfieldEmbedding, embedding, make_field, \
     subfield_of_order
@@ -41,8 +41,7 @@ from .reduction import SparsePolynomial, _x_exponent, _y_exponent, \
 def code_frobenius(code: LinearCode, t: int) -> LinearCode:
     """C^(t): coordinatewise t-th power, re-echelonized."""
     fld = code.field
-    if not fld.is_subfield_order(t):
-        raise FieldError(f"{t} is not a subfield order of F_{fld.order}")
+    fld.subfield_degree(t)
     rows = [[fld.pow(v, t) for v in row] for row in code.generators]
     return row_space_basis(rows, fld, code.n)
 
@@ -156,6 +155,7 @@ def trace_span(curve: CurveSpec, s: int, t: int) -> TraceSpanResult:
     forms and ranks are read from one pass per curve and t (_TracePass):
     the forms whose monomial has weight at most s, and their rank.
     """
+    footprint_is_basis(curve)
     span = _trace_pass(curve, t)
     span.extend_to(s)
     count = bisect_right(span.origins, s)
@@ -196,20 +196,23 @@ def subfield_subcode_oracle(code: LinearCode,
     if m == 1:
         # Trivial extension: the code already lives over the small field.
         return LinearCode(small, n, code.generators)
-    comps = emb.components
     width = n * (m - 1)
+    tables = emb.components
+    if code.generators and isinstance(code.generators[0], bytes):
+        # 256 bytes each, so that row.translate(table) reads one component
+        # of every entry of a bytes row.
+        tables = [bytes(comp).ljust(256, b"\0") for comp in tables]
     expanded = []
     for row in code.generators:
         if isinstance(row, bytes):
+            first, *rest = (row.translate(table) for table in tables)
             out = bytearray(width + n)
-            for c in range(1, m):
-                out[c - 1:width:m - 1] = row.translate(comps[c])
-            out[width:] = row.translate(comps[0])
         else:
+            first, *rest = (map(table.__getitem__, row) for table in tables)
             out = [0] * (width + n)
-            for c in range(1, m):
-                out[c - 1:width:m - 1] = map(comps[c].__getitem__, row)
-            out[width:] = map(comps[0].__getitem__, row)
+        for c, part in enumerate(rest):
+            out[c:width:m - 1] = part
+        out[width:] = first
         expanded.append(out)
     reduced, pivots = rref(expanded, small)
     return LinearCode(small, n, [
@@ -246,8 +249,7 @@ def is_frobenius_invariant(curve: CurveSpec, s: int,
     minimum distance) as NT_u(s) itself.
     """
     fld = curve.field
-    if not fld.is_subfield_order(t):
-        raise FieldError(f"{t} is not a subfield order of F_{fld.order}")
+    fld.subfield_degree(t)
     allowed = set(monomials_up_to(curve, s))
     for i, j in sorted(allowed):
         nf = monomial_normal_form(curve, i * t, j * t)

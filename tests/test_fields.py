@@ -2,8 +2,12 @@ import random
 
 import pytest
 
+from normtrace.curves import make_curve
 from normtrace.fields import (FieldError, embedding, make_field,
                               subfield_of_order, trace_to)
+from normtrace.linalg import LinearCode
+from normtrace.reduction import SparsePolynomial, frobenius_power
+from normtrace.subfield import code_frobenius, is_frobenius_invariant
 
 F2 = make_field(2, 1)
 F4 = make_field(2, 2)
@@ -135,16 +139,51 @@ def test_decompose_round_trip_and_linearity():
 
 def test_decomposition_table_inverts_recompose():
     for (p, small_e, big_e) in [(2, 1, 4), (2, 2, 4), (2, 1, 6), (2, 3, 6),
-                                (5, 1, 2), (3, 1, 3)]:
+                                (5, 1, 2), (3, 1, 3), (2, 3, 9)]:
         small, big = make_field(p, small_e), make_field(p, big_e)
         emb = embedding(small, big)
-        assert len(emb.coordinates) == big.order
+        # images[a]: the polynomial-basis coefficients of a evaluated at the
+        # image of the small field's generator, one mul and add at a time.
+        for a in small.elements():
+            image, power = 0, 1
+            for c in small.coeffs(a):
+                image = big.add(image, big.mul(c, power))
+                power = big.mul(power, emb.generator_image)
+            assert emb.images[a] == emb.embed(a) == image
+        assert len(emb.components) == emb.m
+        assert all(len(comp) == big.order for comp in emb.components)
         for x in big.elements():
-            coords = emb.coordinates[x]
-            assert emb.recompose(coords) == x
-            assert emb.decompose(x) == list(coords)
-            assert len(coords) == emb.m
+            coords = emb.decompose(x)
+            assert coords == [comp[x] for comp in emb.components]
             assert all(0 <= c < small.order for c in coords)
+            assert emb.recompose(coords) == x
+            total = 0
+            for c, b in zip(coords, emb.basis):
+                total = big.add(total, big.mul(emb.images[c], b))
+            assert total == x
+        for bad in (-1, small.order):
+            with pytest.raises(FieldError):
+                emb.embed(bad)
+            with pytest.raises(FieldError):
+                emb.recompose([bad] + [0] * (emb.m - 1))
+            with pytest.raises(FieldError):
+                emb.recompose([0] * (emb.m - 1) + [bad])
+        for bad in (-1, big.order):
+            with pytest.raises(FieldError):
+                emb.decompose(bad)
+            with pytest.raises(FieldError):
+                emb.project(bad)
+    # subfield_degree decides which orders are subfield orders, for every
+    # map that takes one.
+    code = LinearCode(F16, 2, ([1, 3],))
+    message = "^8 is not a subfield order of F_16$"
+    for call in (lambda: code_frobenius(code, 8),
+                 lambda: F16.frobenius(1, 8),
+                 lambda: is_frobenius_invariant(make_curve(2, 1, 4, 3), 8, 8),
+                 lambda: frobenius_power(SparsePolynomial.from_dict(
+                     F16, {(1, 0): 1}), 8)):
+        with pytest.raises(FieldError, match=message):
+            call()
 
 
 def test_subfield_of_order_validation():

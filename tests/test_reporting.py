@@ -6,12 +6,12 @@ import pytest
 from normtrace import codes
 from normtrace.cli import main
 from normtrace.curves import enumerate_points, make_curve
-from normtrace.codes import build_code
+from normtrace.codes import build_code, check_duality
 from normtrace.monomials import footprint
 from normtrace.distance import BudgetExceeded
 from normtrace.reporting import (CacheError, CodeReport, export_matrix,
                                  import_matrix, read_cache, run_report, sweep)
-from normtrace.subfield import subfield_subcode_of_ent
+from normtrace.subfield import subfield_subcode_dim, subfield_subcode_of_ent
 
 NT3 = make_curve(2, 1, 4, 3)
 
@@ -75,9 +75,16 @@ def test_report_rejects_unproved_basis_at_every_s(mutated, mutation):
     elif mutation is None:
         monos = footprint(NT3)[:-1] + ((0, NT3.weight_x),)
         mutated.setattr(codes, "footprint", lambda curve: monos)
+    curve_args = ["--p", "2", "--l", "1", "--r", "4", "--u", "3"]
     for s in range(-1, NT3.max_weight + 2):
-        with pytest.raises(AssertionError, match="not proved independent"):
-            run_report(2, 1, 4, 3, s, 2, exact=False)
+        for call in (lambda: run_report(2, 1, 4, 3, s, 2, exact=False),
+                     lambda: check_duality(NT3, s),
+                     lambda: subfield_subcode_dim(NT3, s, 2),
+                     lambda: main(["dual", *curve_args, "--s", str(s)]),
+                     lambda: main(["trace-dim", *curve_args, "--s", str(s),
+                                   "--t", "2"])):
+            with pytest.raises(AssertionError, match="not proved independent"):
+                call()
 
 
 @pytest.mark.parametrize("params,t", [((3, 1, 2, 4), 3), ((2, 2, 2, 5), 4)],
@@ -285,10 +292,14 @@ def test_cli_code_json(capsys):
 
 
 def test_cli_code_odd_characteristic(capsys):
-    rc = main(["code", "--p", "3", "--l", "1", "--r", "2", "--u", "2",
-               "--s", "8", "--t", "3"])
-    assert rc == 0
-    assert "dim_subfield: 4" in capsys.readouterr().out
+    args = ["code", "--p", "3", "--l", "1", "--r", "2", "--u", "2",
+            "--s", "8", "--t", "3"]
+    assert main(args) == 0
+    text = capsys.readouterr().out
+    assert main(args + ["--json"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data["dim_subfield"] == 4
+    assert text.splitlines() == [f"{k}: {v}" for k, v in sorted(data.items())]
 
 
 def test_cli_subfield_routes(capsys):
