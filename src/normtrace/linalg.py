@@ -33,9 +33,12 @@ class _Packing:
     leaves a word unreduced, so that `reduce` is the identity.  `key` maps
     a scalar to its key in the maps that multiples gives.  `monic` scales a
     nonzero row so that its first nonzero entry is 1, so two nonzero rows
-    are multiples of each other exactly when their monic rows are equal."""
+    are multiples of each other exactly when their monic rows are equal.
+    `bits` is how many bits of an int row one entry takes; None for rows
+    that are lists."""
 
     span = None
+    bits = None
     zero = 0
     minus_one = 1
 
@@ -103,6 +106,7 @@ class BitRows(_Packing):
     two rows is one XOR and a weight is a bit count."""
 
     add = staticmethod(int.__xor__)
+    bits = 1
 
     @staticmethod
     def pack(row) -> int:
@@ -165,6 +169,7 @@ class LaneRows(_Packing):
     """
 
     add = staticmethod(int.__xor__)
+    bits = 8
 
     def __init__(self, fld: FiniteField, width: int):
         super().__init__(fld, width)
@@ -477,6 +482,31 @@ def row_packing(fld: FiniteField, width: int) -> _Packing:
     if fld.order > 256 or fld.p > 127:
         return EntryRows(fld, width)
     return LaneRows(fld, width) if fld.p == 2 else DigitLanes(fld, width)
+
+
+def shift_fold(packing: _Packing, v, up: int, down: int):
+    """The row v moved up `up` entries, with the entries pushed past the
+    width moved back down `down` entries and added to what is there.
+
+    For a row whose entry at lane i * m + j is the coefficient of X^i Y^j,
+    i <= P, in a width of (P + 1) m lanes, up = a m and down = P m give X^a
+    times it with X^{P+1} = X, for 0 <= a <= P.  Then up <= down, so every
+    moved entry lands below the width, and each lane gets at most two
+    reduced entries, which every packing adds without overflow.
+    """
+    width = packing.width
+    if packing.bits is None:
+        w = [0] * up + v
+        high, w = w[width:], w[:width]
+        start = width - down
+        w[start:start + len(high)] = packing.add(w[start:start + len(high)],
+                                                 high)
+        return w
+    cut = width * packing.bits
+    w = v << up * packing.bits
+    high = w >> cut
+    return packing.reduce(packing.add(w ^ (high << cut),
+                                      high << (cut - down * packing.bits)))
 
 
 def row_type(fld: FiniteField) -> type:

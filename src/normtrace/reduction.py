@@ -17,7 +17,7 @@ Each application strictly decreases the polynomial in the monomial order,
 so the rewriting terminates with the unique footprint-supported normal form.
 
 normal_form runs these rules on any polynomial.  The normal form of a single
-monomial is read from a table instead (monomial_normal_form):
+monomial is read from a table instead (NormalFormTable, monomial_normal_form):
 
     NF(X^a Y^b)  = X-reduce(X^a * NF(Y^b))
     NF(Y^b)      = X-reduce(X^u * NF(Y^{b-q^{r-1}}))
@@ -25,9 +25,16 @@ monomial is read from a table instead (monomial_normal_form):
 
 where X-reduce replaces X^i, i >= 1, by X^{((i-1) mod u(q-1)) + 1}.  Since
 y^{q^r} = y at every point, NF(Y^b) for b >= 1 depends only on
-((b-1) mod (q^r-1)) + 1, so the table of NF(Y^b) holds at most q^r - 1
-entries per curve.  The trace span and the Frobenius-invariance test take
-every normal form they need from it.
+((b-1) mod (q^r-1)) + 1, so the table holds the q^r - 1 rows NF(Y^b),
+b = 0 .. q^r - 2, and NF(Y^{q^r-1}) is one step of the recursion past it.
+
+The ideal's generators have coefficients in F_p, so every NF(Y^b) does too,
+and a row is packed over F_p (linalg.row_packing) in the footprint box,
+X-major: the coefficient of X^i Y^j, i <= P = u(q-1), j < m = q^{r-1}, sits
+in lane i m + j.  Multiplying by X^a, 1 <= a <= P, is then a shift and a
+fold (linalg.shift_fold): the row moves up a m lanes, the lanes whose X
+exponent passed P move down P m lanes, since X^{P+1} = X, and are added
+back.  The trace span and the Frobenius-invariance test read these rows.
 """
 
 from __future__ import annotations
@@ -36,7 +43,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .curves import CurveSpec
-from .fields import FieldError, FiniteField, field_sum
+from .fields import FieldError, FiniteField, field_sum, make_field
+from .linalg import row_packing, shift_fold
 from .monomials import Monomial, order_key, weight
 
 
@@ -164,20 +172,6 @@ def _x_exponent(curve: CurveSpec, a: int) -> int:
     return a if a <= period else (a - 1) % period + 1
 
 
-def _times_x_power(curve: CurveSpec, a: int, terms: dict) -> dict:
-    """X-reduced X^a * f, for f given as {monomial: coefficient}."""
-    fld = curve.field
-    out = {}
-    for (i, j), c in terms.items():
-        key = (_x_exponent(curve, a + i), j)
-        s = fld.add(out.get(key, 0), c)
-        if s:
-            out[key] = s
-        else:
-            out.pop(key, None)
-    return out
-
-
 def _y_exponent(curve: CurveSpec, b: int) -> int:
     """The exponent whose entry in the table of NF(Y^b) gives NF(Y^b): b
     itself below q^{r-1}, else ((b - 1) mod (q^r - 1)) + 1, since
@@ -186,33 +180,78 @@ def _y_exponent(curve: CurveSpec, b: int) -> int:
     return b if b < q ** (r - 1) else (b - 1) % (q**r - 1) + 1
 
 
-def _y_power_form(curve: CurveSpec, b: int) -> dict:
-    """NF(Y^b) as {monomial: coefficient}; callers must not mutate it."""
-    b = _y_exponent(curve, b)
-    if b < curve.q ** (curve.r - 1):
-        return {(0, b): 1}
-    return _y_power_table(curve, b)
+class NormalFormTable:
+    """The rows NF(Y^b), b = 0 .. q^r - 2, of one curve, packed over F_p
+    X-major as the module docstring says.  F_p's element c has the same
+    code c in F_{q^r}, so a row unpacks to its polynomial as it is."""
+
+    def __init__(self, curve: CurveSpec):
+        self.curve = curve
+        self.m = curve.weight_x
+        self.down = curve.u * (curve.q - 1) * self.m
+        self.packing = packing = row_packing(make_field(curve.p, 1), curve.n)
+        self.rows = []
+        for b in range(self.m):
+            unit = [0] * curve.n
+            unit[b] = 1
+            self.rows.append(packing.pack(unit))
+        for b in range(self.m, curve.q**curve.r - 1):
+            self.rows.append(self._y_power(b))
+        self.rows = tuple(self.rows)
+
+    def _y_power(self, b: int):
+        """NF(Y^b) for b >= m from the rows of smaller exponents:
+        Y^b -> X^u Y^{b-m} - sum_{k<r-1} Y^{b-m+q^k}."""
+        curve, packing, rows = self.curve, self.packing, self.rows
+        low = b - self.m
+        trace = packing.zero
+        for k in range(curve.r - 1):
+            trace = packing.reduce(packing.add(trace, rows[low + curve.q**k]))
+        return packing.reduce(packing.add(
+            self.times_x(curve.u, rows[low]),
+            packing.scale(packing.minus_one, trace)))
+
+    def times_x(self, a: int, v):
+        """X-reduced X^a * v: v moved up a m lanes, and the lanes past X^P
+        moved down P m lanes and added back, since X^{P+1} = X."""
+        a = _x_exponent(self.curve, a)
+        return shift_fold(self.packing, v, a * self.m, self.down) if a else v
+
+    def row(self, a: int, b: int):
+        """NF(X^a Y^b), packed.  Y^{q^r - 1} is one step of the recursion
+        past the table; no Frobenius power of a footprint monomial
+        reaches it."""
+        b = _y_exponent(self.curve, b)
+        return self.times_x(a, self.rows[b] if b < len(self.rows) else
+                            self._y_power(b))
+
+    def polynomial(self, v) -> SparsePolynomial:
+        """The packed row v as a polynomial over F_{q^r}."""
+        return SparsePolynomial.from_dict(self.curve.field, {
+            divmod(lane, self.m): c
+            for lane, c in enumerate(self.packing.unpack(v)) if c})
+
+    def lane_mask(self, monos):
+        """The lanes of the given monomials, as `meets` reads them: an int
+        with every bit of those lanes set, or a list of 0/1 for list rows."""
+        marks = [0] * self.curve.n
+        for i, j in monos:
+            marks[i * self.m + j] = 1
+        if self.packing.bits is None:
+            return marks
+        return self.packing.pack(marks) * ((1 << self.packing.bits) - 1)
+
+    @staticmethod
+    def meets(v, mask) -> bool:
+        """Whether the row v is nonzero in a lane of mask."""
+        if isinstance(v, list):
+            return any(c for c, inside in zip(v, mask) if inside)
+        return bool(v & mask)
 
 
 @lru_cache(maxsize=None)
-def _y_power_table(curve: CurveSpec, b: int) -> dict:
-    """NF(Y^b) for q^{r-1} <= b < q^r, so at most q^r - 1 entries per curve.
-
-    Y^b = Y^{b-q^{r-1}} * Y^{q^{r-1}} -> X^u Y^{b-q^{r-1}}
-    - sum_{k<r-1} Y^{b-q^{r-1}+q^k}, and every exponent on the right is
-    smaller than b.
-    """
-    fld = curve.field
-    jcap = curve.q ** (curve.r - 1)
-    nf = _times_x_power(curve, curve.u, _y_power_form(curve, b - jcap))
-    for k in range(curve.r - 1):
-        for m, c in _y_power_form(curve, b - jcap + curve.q**k).items():
-            s = fld.sub(nf.get(m, 0), c)
-            if s:
-                nf[m] = s
-            else:
-                nf.pop(m, None)
-    return nf
+def normal_form_table(curve: CurveSpec) -> NormalFormTable:
+    return NormalFormTable(curve)
 
 
 def monomial_normal_form(curve: CurveSpec, a: int, b: int) -> SparsePolynomial:
@@ -222,8 +261,8 @@ def monomial_normal_form(curve: CurveSpec, a: int, b: int) -> SparsePolynomial:
     X-reduced X^a * NF(Y^b), and NF(Y^b) depends on b only through
     ((b - 1) mod (q^r - 1)) + 1 for b >= 1.
     """
-    return SparsePolynomial.from_dict(
-        curve.field, _times_x_power(curve, a, _y_power_form(curve, b)))
+    table = normal_form_table(curve)
+    return table.polynomial(table.row(a, b))
 
 
 def frobenius_power(f: SparsePolynomial, t: int) -> SparsePolynomial:

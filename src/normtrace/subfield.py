@@ -14,11 +14,13 @@ Two fully independent routes to the dimension of NT_u(s)|F_t are provided:
 The two must always agree; the test suite asserts this on every instance.
 
 The Groebner route answers every s of a curve from one pass per (curve, t)
-in weight order (trace_span): each new normal form is reduced against an
-echelon basis kept over the prime field F_p, since the normal forms of
-monomials have coefficients in F_p and a rank does not change when the
-field is extended.  The pass is extended only as far as the highest weight
-asked so far.
+in weight order (trace_span): each new normal form is a row of the curve's
+reduction.NormalFormTable, packed over the prime field F_p and shifted in
+X, and it is reduced as it is against an echelon basis kept in the same
+packing, since the normal forms of monomials have coefficients in F_p and
+a rank does not change when the field is extended.  The pass is extended
+only as far as the highest weight asked so far.  The Frobenius-invariance
+test reads the same rows against a mask of the lanes of M(s).
 """
 
 from __future__ import annotations
@@ -29,13 +31,11 @@ from functools import lru_cache
 
 from .codes import build_code, dual_weight, footprint_is_basis
 from .curves import CurveSpec
-from .fields import FieldError, SubfieldEmbedding, embedding, make_field, \
+from .fields import FieldError, SubfieldEmbedding, embedding, \
     subfield_of_order
-from .linalg import LinearCode, row_packing, row_space_basis, rref, \
-    scale_rows
+from .linalg import LinearCode, row_space_basis, rref, scale_rows
 from .monomials import footprint, footprint_weights, monomials_up_to
-from .reduction import SparsePolynomial, _x_exponent, _y_exponent, \
-    monomial_normal_form
+from .reduction import _x_exponent, _y_exponent, normal_form_table
 
 
 def code_frobenius(code: LinearCode, t: int) -> LinearCode:
@@ -54,8 +54,14 @@ class TraceSpanResult:
     s: int
     t: int
     m: int
-    reduced_generators: tuple  # normal forms (SparsePolynomial), dedup'd
+    rows: tuple  # the distinct normal forms, packed as their table packs
     dimension: int
+
+    @property
+    def reduced_generators(self) -> tuple:
+        """The distinct normal forms, as polynomials over F_{q^r}."""
+        table = normal_form_table(self.curve)
+        return tuple(map(table.polynomial, self.rows))
 
 
 class _TracePass:
@@ -65,17 +71,19 @@ class _TracePass:
     Monomial X^i Y^j brings its powers X^{i t^k} Y^{j t^k}, k < m, in turn.
     Each power is first brought to its canonical exponents (X as in
     _x_exponent, Y as in _y_exponent), which fix its normal form, and an
-    exponent pair seen before is skipped.  Each new normal form is reduced
-    against an echelon basis kept over F_p: the generators of the curve
-    ideal have coefficients in F_p, so every normal form of a monomial does
-    too, and a rank does not change when the field is extended.  The pass
-    goes only as far as the highest weight asked so far.
+    exponent pair seen before is skipped.  The normal form of a new pair
+    (a, b) is row b of the curve's NormalFormTable, a packed row over F_p,
+    times X^a: one shift and fold of its lanes.  It is reduced as it is
+    against an echelon basis kept in the same packing: the normal forms of
+    monomials have coefficients in F_p, and a rank does not change when
+    the field is extended.  The pass goes only as far as the highest
+    weight asked so far.
 
     Distinct canonical pairs give distinct normal forms, so no form is
     seen twice.  The pairs reached have a, a' <= P = u(q-1) and
-    b, b' <= N - 1 with N = q^r - 1: j t^k is below q^{r-1} or reduces
-    into 1 .. N, and N divides j t^k only for j = 0, since t is prime to
-    N.  Equal normal forms mean x^a y^b = x^a' y^b' at every point.
+    b, b' <= N - 1 with N = q^r - 1, each a row of the table: j t^k is
+    below q^{r-1} or reduces into 1 .. N, and N divides j t^k only for
+    j = 0, since t is prime to N.  Equal normal forms mean x^a y^b = x^a' y^b' at every point.
     The x with x^u = Tr(y) != 0 form a coset of the u-th roots of unity,
     so u divides a - a' = ue, and y^(b'-b) = Tr(y)^e on T = {Tr(y) != 0}.
     Then y^D, D = b' - b mod N, is constant on each hyperplane
@@ -91,44 +99,37 @@ class _TracePass:
         self.curve, self.t = curve, t
         self.m = curve.field.subfield_degree(t)
         self.done = 0  # footprint monomials taken
-        self.forms = []  # first-seen normal forms
+        self.rows = []  # first-seen normal forms, packed
         self.origins = []  # weight of the monomial each form came from
-        self.ranks = []  # rank of forms[:i + 1]
+        self.ranks = []  # rank of rows[:i + 1]
         self.exponents = set()
-        self.index = {mono: i for i, mono in enumerate(footprint(curve))}
-        self.packing = row_packing(make_field(curve.p, 1), curve.n)
+        self.table = normal_form_table(curve)
         self.basis = {}  # pivot column -> pivot_multiples of its row
 
     def extend_to(self, s: int) -> None:
-        curve, t = self.curve, self.t
+        curve, t, table = self.curve, self.t, self.table
         monos, weights = footprint(curve), footprint_weights(curve)
+        seen, rows, ranks = self.exponents, self.rows, self.ranks
         stop = bisect_right(weights, s)
         for pos in range(self.done, stop):
-            i, j = monos[pos]
-            for k in range(self.m):
-                key = (_x_exponent(curve, i * t**k),
-                       _y_exponent(curve, j * t**k))
-                if key in self.exponents:
-                    continue
-                self.exponents.add(key)
-                nf = monomial_normal_form(curve, *key)
-                rank = self.ranks[-1] if self.ranks else 0
-                self.forms.append(nf)
-                self.origins.append(weights[pos])
-                self.ranks.append(rank + self._insert(nf))
+            a, b = monos[pos]
+            for _ in range(self.m):
+                # Both reductions keep an exponent's residue, so the next
+                # power's canonical pair is that of t times this pair.
+                if (a, b) not in seen:
+                    seen.add((a, b))
+                    row = table.times_x(a, table.rows[b])
+                    rows.append(row)
+                    self.origins.append(weights[pos])
+                    ranks.append((ranks[-1] if ranks else 0) +
+                                 self._insert(row))
+                a, b = _x_exponent(curve, a * t), _y_exponent(curve, b * t)
         self.done = max(self.done, stop)
 
-    def _insert(self, nf: SparsePolynomial) -> int:
-        """1 if nf is independent of the forms before it, and then it joins
-        the basis; else 0."""
-        packing, p = self.packing, self.curve.p
-        row = [0] * self.curve.n
-        for mono, c in nf.terms:
-            if c >= p:
-                raise AssertionError(
-                    f"normal form coefficient {c} outside F_{p}: {nf.terms}")
-            row[self.index[mono]] = c
-        v = packing.pack(row)
+    def _insert(self, v) -> int:
+        """1 if the row v is independent of the rows before it, and then it
+        joins the basis; else 0."""
+        packing = self.table.packing
         while v != packing.zero:
             col = packing.lead(v)
             minus = self.basis.get(col)
@@ -150,16 +151,17 @@ def trace_span(curve: CurveSpec, s: int, t: int) -> TraceSpanResult:
     The trace code is the evaluation code of all m^{t^i} reduced modulo the
     curve ideal; since footprint monomials evaluate to a basis of the
     functions on the points (codes.footprint_is_basis), its dimension is
-    the rank of the reduced coefficient vectors.  Each m^{t^i}
-    is a monomial, so its normal form comes from monomial_normal_form.  The
-    forms and ranks are read from one pass per curve and t (_TracePass):
-    the forms whose monomial has weight at most s, and their rank.
+    the rank of the reduced coefficient vectors.  Each m^{t^i} is a
+    monomial, so its normal form is a row of the curve's NormalFormTable
+    shifted in X.  The rows and ranks are read from one pass per curve
+    and t (_TracePass): the packed forms whose monomial has weight at most
+    s, and their rank; reduced_generators unpacks them when read.
     """
     footprint_is_basis(curve)
     span = _trace_pass(curve, t)
     span.extend_to(s)
     count = bisect_right(span.origins, s)
-    return TraceSpanResult(curve, s, t, span.m, tuple(span.forms[:count]),
+    return TraceSpanResult(curve, s, t, span.m, tuple(span.rows[:count]),
                            span.ranks[count - 1] if count else 0)
 
 
@@ -248,12 +250,12 @@ def is_frobenius_invariant(curve: CurveSpec, s: int,
     When true, the subfield subcode over F_t has the same dimension (and
     minimum distance) as NT_u(s) itself.
     """
-    fld = curve.field
-    fld.subfield_degree(t)
-    allowed = set(monomials_up_to(curve, s))
-    for i, j in sorted(allowed):
-        nf = monomial_normal_form(curve, i * t, j * t)
-        if any(m not in allowed for m in nf.support):
+    curve.field.subfield_degree(t)
+    table = normal_form_table(curve)
+    inside = monomials_up_to(curve, s)
+    outside = table.lane_mask(footprint(curve)[len(inside):])
+    for i, j in sorted(inside):
+        if table.meets(table.row(i * t, j * t), outside):
             return FrobeniusInvariance(False, (i, j))
     return FrobeniusInvariance(True, None)
 

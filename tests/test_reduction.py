@@ -3,13 +3,13 @@ import random
 import pytest
 
 from normtrace.curves import enumerate_points, make_curve
-from normtrace.fields import FieldError
-from normtrace.linalg import rank
+from normtrace.fields import FieldError, make_field
+from normtrace.linalg import rank, row_packing, shift_fold
 from normtrace.monomials import footprint, weight
-from normtrace.reduction import (SparsePolynomial, _y_power_table,
-                                 curve_ideal_basis, frobenius_power,
-                                 monomial_normal_form, monomial_poly,
-                                 normal_form, weight_residues)
+from normtrace.reduction import (SparsePolynomial, curve_ideal_basis,
+                                 frobenius_power, monomial_normal_form,
+                                 monomial_poly, normal_form,
+                                 normal_form_table, weight_residues)
 
 NT3 = make_curve(2, 1, 4, 3)
 NT5 = make_curve(2, 1, 4, 5)
@@ -146,16 +146,70 @@ def test_footprint_evaluation_matrix_has_full_rank():
 
 @pytest.mark.parametrize("params", [(2, 1, 4, 3), (2, 1, 4, 15), (3, 1, 2, 4),
                                     (2, 2, 2, 5), (5, 1, 2, 6), (2, 1, 6, 3),
-                                    (3, 1, 3, 13)], ids=str)
+                                    (3, 1, 3, 13), (17, 1, 2, 1)], ids=str)
 def test_monomial_table_matches_rewriting(params):
+    """Every NF(X^a Y^b) read from the packed table equals the rewriting
+    route over F_{q^r}, so a wrong lane or coefficient shows.  Over F_17
+    the 8-bit lanes hold sums of up to 2 * 16 before they are reduced."""
     curve = make_curve(*params)
     q, r, u = curve.q, curve.r, curve.u
-    _y_power_table.cache_clear()
+    normal_form_table.cache_clear()
     ys = list(range(2 * q ** (r - 1) + 5)) + \
         [q**r - 1, q**r, q**r + 1, 5 * q**r]
     for a in range(2 * (u * (q - 1) + 1)):
         for b in ys:
             expect = normal_form(curve, monomial_poly(curve.field, (a, b)))
             assert monomial_normal_form(curve, a, b) == expect, (a, b)
-    # The table is keyed by the reduced Y-exponent only.
-    assert _y_power_table.cache_info().currsize <= q**r - 1
+    # One row per Y exponent 0 .. q^r - 2; Y^{q^r - 1} is derived.
+    assert len(normal_form_table(curve).rows) == q**r - 1
+
+
+@pytest.mark.parametrize("params", [(2, 1, 4, 3), (3, 1, 2, 4), (5, 1, 2, 6)],
+                         ids=str)
+def test_lane_mask_meets_exactly_the_support(params):
+    """A row meets the lane mask of one monomial exactly when that monomial
+    is in its normal form's support, whatever its coefficient."""
+    curve = make_curve(*params)
+    table = normal_form_table(curve)
+    masks = {mono: table.lane_mask([mono]) for mono in footprint(curve)}
+    for a in range(curve.u * (curve.q - 1) + 2):
+        for b in range(curve.field.order):
+            row = table.row(a, b)
+            support = set(monomial_normal_form(curve, a, b).support)
+            for mono, mask in masks.items():
+                assert table.meets(row, mask) == (mono in support), \
+                    (mono, a, b)
+
+
+def dict_times_x_power(period, a, terms, p):
+    """X^a * f with X^{period+1} = X, for f as {(i, j): c} over F_p."""
+    out = {}
+    for (i, j), c in terms.items():
+        e = i + a
+        key = (e if e <= period else (e - 1) % period + 1, j)
+        out[key] = (out.get(key, 0) + c) % p
+    return {key: c for key, c in out.items() if c}
+
+
+@pytest.mark.parametrize("p", [2, 3, 17, 131])
+def test_shift_fold_matches_dict_route(p):
+    """shift_fold over BitRows, DigitLanes and EntryRows is X^a times a
+    row laid out X-major (lane i m + j), with X^{P+1} = X."""
+    rng = random.Random(p)
+    for period, m in [(1, 1), (3, 2), (4, 3), (6, 1)]:
+        width = (period + 1) * m
+        packing = row_packing(make_field(p, 1), width)
+        for _ in range(20):
+            terms = {(rng.randrange(period + 1), rng.randrange(m)):
+                     rng.randrange(1, p) for _ in range(rng.randrange(width))}
+            entries = [0] * width
+            for (i, j), c in terms.items():
+                entries[i * m + j] = c
+            for a in range(period + 1):
+                got = packing.unpack(shift_fold(
+                    packing, packing.pack(entries), a * m, period * m))
+                want = [0] * width
+                for (i, j), c in dict_times_x_power(period, a, terms,
+                                                    p).items():
+                    want[i * m + j] = c
+                assert list(got) == want, (period, m, a)

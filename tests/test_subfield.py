@@ -7,9 +7,8 @@ from normtrace.curves import make_curve
 from normtrace.fields import embedding, make_field
 from normtrace.linalg import LinearCode, kernel, rank, row_space_basis, rref
 from normtrace.monomials import footprint, monomials_up_to
-from normtrace.reduction import (SparsePolynomial, frobenius_power,
-                                 monomial_normal_form, monomial_poly,
-                                 normal_form)
+from normtrace.reduction import (frobenius_power, monomial_poly,
+                                 normal_form, normal_form_table)
 from normtrace.subfield import (FrobeniusInvariance, _trace_pass, _TracePass,
                                 code_frobenius, is_frobenius_invariant,
                                 subfield_subcode_dim,
@@ -66,6 +65,20 @@ def test_oracle_matches_delsarte_route():
                         (NT5, 62, 4), (NT5, 65, 2)]:
         oracle = subfield_subcode_of_ent(curve, s, t)
         assert oracle.k == subfield_subcode_dim(curve, s, t)
+
+
+# The instance ladder: (curve, s, t, dim NT_u(s)|F_t), from [128, 3] over
+# F_2 to [1024, 29] over F_4.
+LADDER = [((2, 1, 6, 3), 64, 2, 3), ((3, 1, 3, 13), 121, 3, 10),
+          ((2, 1, 5, 31), 400, 2, 31), ((2, 2, 3, 21), 512, 2, 7),
+          ((2, 2, 3, 21), 512, 4, 29)]
+
+
+@pytest.mark.parametrize("params,s,t,dim", LADDER, ids=str)
+def test_ladder_dimensions_match_oracle(params, s, t, dim):
+    curve = make_curve(*params)
+    assert subfield_subcode_dim(curve, s, t) == dim
+    assert subfield_subcode_of_ent(curve, s, t).k == dim
 
 
 def test_oracle_words_lie_in_code_and_subfield():
@@ -233,27 +246,20 @@ def test_trace_span_matches_rewriting_route(params, ts, stride):
 def test_canonical_exponents_give_distinct_normal_forms(params, ts):
     """The lemma of _TracePass: X^a Y^b, a <= u(q-1), b < q^r - 1, have
     pairwise distinct normal forms, so a whole-curve pass meets no form
-    twice.  At b = q^r - 1, which no Frobenius power reaches, it fails."""
+    twice.  At b = q^r - 1, which no Frobenius power reaches, it fails.
+    Distinct forms are distinct packed rows of the normal-form table."""
     curve = make_curve(*params)
     top = curve.field.order - 1
     pairs = [(a, b) for a in range(curve.u * (curve.q - 1) + 1)
              for b in range(top)]
-    forms = {monomial_normal_form(curve, a, b).terms for a, b in pairs}
-    assert len(forms) == len(pairs)
-    assert monomial_normal_form(curve, 1, 0) == \
-        monomial_normal_form(curve, 1, top)
+    table = normal_form_table(curve)
+    rows = {table.row(a, b) for a, b in pairs}
+    assert len(rows) == len(pairs)
+    assert table.row(1, 0) == table.row(1, top)
     for t in ts:
         span = _TracePass(curve, t)
         span.extend_to(curve.max_weight)
-        assert len({nf.terms for nf in span.forms}) == len(span.forms)
-
-
-def test_trace_pass_rejects_coefficients_outside_prime_field():
-    curve = make_curve(2, 2, 2, 5)
-    span = _TracePass(curve, 2)
-    outside = SparsePolynomial(curve.field, (((0, 0), 2),))
-    with pytest.raises(AssertionError, match="outside F_2"):
-        span._insert(outside)
+        assert len(set(span.rows)) == len(span.rows)
 
 
 @pytest.mark.parametrize("params", [(2, 1, 4, 3), (2, 1, 4, 5), (2, 2, 2, 5)],
@@ -264,6 +270,18 @@ def test_frobenius_invariance_matches_rewriting_route(params):
         for t in (2, 4):
             assert is_frobenius_invariant(curve, s, t) == \
                 rewriting_invariance(curve, s, t)
+
+
+@pytest.mark.parametrize("params,t", [((3, 1, 2, 4), 3), ((5, 1, 2, 6), 5)],
+                         ids=str)
+def test_frobenius_invariance_matches_rewriting_route_odd_characteristic(
+        params, t):
+    """Over F_3 and F_5 a normal form's lane holds 1 .. p - 1, so the lane
+    mask of M(s) must cover every bit of a lane."""
+    curve = make_curve(*params)
+    for s in range(curve.max_weight + 2):
+        assert is_frobenius_invariant(curve, s, t) == \
+            rewriting_invariance(curve, s, t), s
 
 
 def spanning_set_subcode(code, emb):
