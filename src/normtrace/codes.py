@@ -23,8 +23,12 @@ fibers, the n x n evaluation matrix of the footprint is a Kronecker product
 of Vandermonde matrices times a block diagonal of Vandermonde matrices.
 build_code still checks the rank of every code whose generators it builds.
 
-build_code evaluates the monomials fiber by fiber: the points are sorted by
-x, so a row is x^i times each fiber's y^j, one scaling per fiber.
+build_code evaluates Newton rows fiber by fiber: the points are sorted by
+x into fibers with distinct x's x_0, x_1, ..., and X^i Y^j gives the row of
+pi_i(x) y^j, pi_i(x) = prod_{c<i} (x - x_c), which is pi_i(x) times each
+fiber's y^j, one scaling per fiber.  Row (i, j) vanishes on fibers
+0 .. i-1, so the rows come to rref block-triangular, and forward
+elimination only meets rows that lead in the same fiber.
 """
 
 from __future__ import annotations
@@ -41,24 +45,33 @@ from .reduction import _x_exponent
 
 
 def _monomial_rows(curve: CurveSpec, monos) -> list:
-    """Evaluations of the monomials at the points.
+    """The Newton rows of the monomials: for X^i Y^j, the evaluations of
+    pi_i(x) y^j at the points, where pi_i(x) = prod_{c<i} (x - x_c) over
+    the first i distinct x's x_0, x_1, ... in point order.
 
-    The points are sorted by x, so the row of X^i Y^j is, fiber by fiber,
-    x^i times that fiber's slice of the row of y^j over all the points:
-    one scaling per fiber.  Over fields of order at most 256 a row is
-    `bytes` and a scaling is one `bytes.translate` through the table of
-    c * b; above that a row is a list and a scaling is `scale_row`.
+    The points are sorted by x into fibers, so pi_i vanishes on fibers
+    0 .. i-1, and the row of X^i Y^j is, fiber by fiber, pi_i(x) times that
+    fiber's slice of the row of y^j over all the points: one scaling per
+    fiber.  Over fields of order at most 256 a row is `bytes` and a
+    scaling is one `bytes.translate` through the table of c * b; above
+    that a row is a list and a scaling is `scale_row`.
     """
     fld = curve.field
     xs, ys = zip(*enumerate_points(curve))
     fibers = [(x, len(list(group))) for x, group in groupby(xs)]
     bounds = list(accumulate((size for _, size in fibers), initial=0))
-    xpow = {i: [fld.pow(x, i) for x, _ in fibers]
-            for i in {i for i, _ in monos}}
+    wanted = {i for i, _ in monos}
+    newton, pi = {}, [1] * len(fibers)  # i -> pi_i at each fiber's x
+    for i in range(max(wanted, default=-1) + 1):
+        if i in wanted:
+            newton[i] = pi
+        if i < len(fibers):  # pi_{i+1} = pi_i (x - x_i); past that, zero
+            pi = [fld.mul(v, fld.sub(x, fibers[i][0]))
+                  for v, (x, _) in zip(pi, fibers)]
     if fld.order <= 256:
         ys, join = bytes(ys), b"".join
         tables = {c: bytes(fld.scale_row(c, fld.elements())).ljust(256, b"\0")
-                  for c in {c for row in xpow.values() for c in row}}
+                  for c in {c for row in newton.values() for c in row}}
 
         def scale(c, segment):
             return segment.translate(tables[c])
@@ -73,7 +86,7 @@ def _monomial_rows(curve: CurveSpec, monos) -> list:
         power = {y: fld.pow(y, j) for y in distinct}
         row = type(ys)(map(power.__getitem__, ys))
         yfibers[j] = [row[a:b] for a, b in zip(bounds, bounds[1:])]
-    return [join(map(scale, xpow[i], yfibers[j])) for i, j in monos]
+    return [join(map(scale, newton[i], yfibers[j])) for i, j in monos]
 
 
 def _fibers(curve: CurveSpec) -> dict:
@@ -147,7 +160,17 @@ class EntCode:
 
 @lru_cache(maxsize=None)
 def build_code(curve: CurveSpec, s: int) -> EntCode:
-    """Evaluate all footprint monomials of weight <= s at the curve points."""
+    """NT_u(s): the span of the evaluations of the footprint monomials of
+    weight <= s at the curve points, in canonical reduced echelon form.
+
+    The rows eliminated are the Newton rows pi_i(x) y^j (_monomial_rows),
+    which span the same code: X^i Y^j has weight i q^{r-1} + j u, so for
+    each j the monomials of M(s) are X^0 Y^j ... X^I(j) Y^j, and pi_0 ...
+    pi_I(j), monic of degrees 0 ... I(j), span the same polynomials in x as
+    1, x, ..., x^I(j).  The reduced echelon form of a row space does not
+    depend on the rows that span it, so the generators are those of the
+    monomial evaluations themselves.
+    """
     monos = tuple(monomials_up_to(curve, s))
     rows = _monomial_rows(curve, monos)
     code = row_space_basis(rows, curve.field, n=curve.n)

@@ -15,11 +15,20 @@ digit over odd fields of order at most 256 with p <= 127 (DigitLanes), and
 lists through the field's per-entry mul and add over every other field
 (EntryRows).  The four share one set of methods, so rref, kernel and the
 distance searches each have one code path.
+
+rref eliminates forward, then substitutes back.  Each packing clears the
+entries above the pivots its own way: an in-place test and XOR over F_2
+and over F_4 ... F_256, one grouped sum per row over the odd digit lanes,
+and one product and addition per entry over the other fields.  A caller
+that keeps only the part of the row space that vanishes before some
+column passes it as rref's `start`, and only those rows are substituted
+back.
 """
 
 from __future__ import annotations
 
 import dataclasses
+from bisect import bisect_left
 from functools import lru_cache
 from itertools import repeat
 from operator import itemgetter
@@ -59,13 +68,17 @@ class _Packing:
         return self.multiples(v)[self.key(c)]
 
     def back_substitute(self, echelon: list, pivots: list) -> None:
-        """Clear the entries above each pivot of a reduced echelon form, in
-        place.
+        """Clear the entries above each pivot of an echelon form whose
+        pivot entries are 1, in place, giving the reduced echelon form.
 
-        A reduced row is zero at every other pivot column, so subtracting
-        it from a row above leaves that row's other pivot entries
-        unchanged: each row is unpacked once, up front, and its entries at
-        the pivot columns are read from that.
+        A finished row (cleared above by the rows below it) is zero at
+        every other pivot column, so subtracting it from a row above leaves
+        that row's other pivot entries unchanged: a row's entries at the
+        later pivot columns are those it had before back substitution.
+        Here each row is unpacked once, up front, its entries at the pivot
+        columns are read from that, and each entry costs one product (built
+        on first use per pivot row and scalar) and one addition.  The
+        packings of the fields of order at most 256 override this.
         """
         later = list(map(self.unpack, echelon))
         add, reduce, key = self.add, self.reduce, self.key
@@ -152,6 +165,16 @@ class BitRows(_Packing):
         return [u ^ v if u & bit else u for u in rows]
 
     @staticmethod
+    def back_substitute(echelon: list, pivots: list) -> None:
+        """As _Packing.back_substitute, testing each pivot bit in place and
+        XORing the pivot row in, with no unpacking."""
+        for j in range(len(echelon) - 1, 0, -1):
+            v, bit = echelon[j], 1 << pivots[j]
+            for i in range(j):
+                if echelon[i] & bit:
+                    echelon[i] ^= v
+
+    @staticmethod
     def weights(s: int, words):
         """The weight of s + t for each word t."""
         return map(int.bit_count, map(s.__xor__, words))
@@ -200,8 +223,9 @@ class LaneRows(_Packing):
         """As _Packing.back_substitute, with one in-place XOR per entry
         cleared.  With the calls to add, reduce and key there, build_code
         on the five F_16 and F_64 instances of the subcode benchmark took
-        10.6 ms in all against 9.4-9.8 ms (medians of 15, CPython 3.11,
-        2 vCPUs), and its oracles over F_4 and F_8 were 6-15% slower."""
+        19.8-22.0 ms in all against 17.6-19.5 ms, and the oracles of its
+        F_16 -> F_4 and F_64 -> F_8 instances 7.5-8.3 ms against 6.9-7.7 ms
+        (medians of 15 in three runs, CPython 3.11.7, 2 vCPUs)."""
         later = [v.to_bytes(self.width, "little") for v in echelon]
         for j in range(len(echelon) - 1, 0, -1):
             times, col = self.multiples(echelon[j]), pivots[j]
@@ -294,6 +318,10 @@ class DigitLanes(_Packing):
     modulus; c * row is the sum of the lanewise products c_k * (x^k * row)
     over the digits c_k of c.
 
+    Back substitution groups its additions by digit: all the rows a row
+    needs d times are added as integers first, reduced once every
+    span + 1 of them, and multiplied by d once (back_substitute).
+
     A word of a codeword sum is added as integers without reducing, each
     lane staying congruent to its digit mod p, and is reduced before an
     addition could take a lane past 255.
@@ -368,19 +396,71 @@ class DigitLanes(_Packing):
         """The column of the first nonzero entry of a nonzero row."""
         return (((v & -v).bit_length() - 1) >> 3) // self.e
 
-    def multiples(self, v: int) -> _Products:
-        """The map key(c) -> c * v, each product built on first use.
-
-        The images x^k * v are left unreduced: a lane of x^k * v is at most
-        (p - 1) p^k < p^e <= 256, and a product reads each image through
-        the table times[c_k], which reduces mod p.
-        """
+    def _images(self, v: int) -> list:
+        """The rows x^k * v for k < e, left unreduced: a lane of x^k * v is
+        at most (p - 1) p^k < p^e <= 256."""
         images = [v]
         for _ in range(self.e - 1):
             v = ((v & self.low) << 8) + (v >> self.bits - 8 & self.top) * \
                 self.poly
             images.append(v)
-        images = [w.to_bytes(self.nbytes, "little") for w in images]
+        return images
+
+    def _sum(self, terms: list) -> int:
+        """A word congruent to the sum of the reduced rows in terms, every
+        lane at most 255: span + 1 of them are added at a time and reduced,
+        until one such sum is left."""
+        size = self.span + 1
+        while len(terms) > size:
+            terms = [self.reduce(sum(terms[a:a + size]))
+                     for a in range(0, len(terms), size)]
+        return sum(terms)
+
+    def back_substitute(self, echelon: list, pivots: list) -> None:
+        """As _Packing.back_substitute, one row at a time from the bottom,
+        with one grouped sum per row.
+
+        Row i becomes R_i - sum_j c_ij P_j over the finished rows P_j below
+        it, c_ij being its entry at P_j's pivot.  Each digit d_k of -c_ij
+        contributes d_k times the reduced image x^k * P_j, so the images
+        with the same digit d are added as integers (reduced once every
+        span + 1 of them) and the sum is multiplied by d with one
+        translate(times[d]): per row, one translate per digit value that
+        occurs, in place of one product and one reduction per entry
+        cleared.  The images of each pivot row are reduced once.
+        """
+        e, nbytes, times = self.e, self.nbytes, self.times
+        negate = times[-1]
+        at, images = [], []  # lane of each pivot digit below, its image
+        for i in range(len(echelon) - 1, -1, -1):
+            v = echelon[i]
+            if at:
+                minus = v.to_bytes(nbytes, "little").translate(negate)
+                groups = {}
+                for d, w in zip(map(minus.__getitem__, at), images):
+                    if d:
+                        if d in groups:
+                            groups[d].append(w)
+                        else:
+                            groups[d] = [w]
+                if groups:
+                    v = echelon[i] = self.reduce(self._sum([v] + [
+                        int.from_bytes(self._sum(group).to_bytes(
+                            nbytes, "little").translate(times[d]), "little")
+                        for d, group in groups.items()]))
+            if i:
+                lane = pivots[i] * e
+                at.extend(range(lane, lane + e))
+                images.append(v)
+                images.extend(map(self.reduce, self._images(v)[1:]))
+
+    def multiples(self, v: int) -> _Products:
+        """The map key(c) -> c * v, each product built on first use.
+
+        The images x^k * v are left unreduced, and a product reads each
+        image through the table times[c_k], which reduces mod p.
+        """
+        images = [w.to_bytes(self.nbytes, "little") for w in self._images(v)]
 
         def product(c):
             w = terms = 0
@@ -523,16 +603,26 @@ def scale_rows(c: int, rows, fld: FiniteField, width: int) -> list:
             for row in rows]
 
 
-def rref(rows, fld: FiniteField):
+def rref(rows, fld: FiniteField, start: int = 0):
     """Reduced row-echelon form. Returns (nonzero rows, pivot columns).
 
     The rows are packed as row_packing gives, grouped by leading column and
     eliminated forward, touching only the rows with a nonzero entry in the
     pivot column, then substituted back.
+
+    With start > 0 the result is the reduced echelon basis of the vectors
+    of the row space that vanish before column start, restricted to the
+    columns from start on, with its pivots counted from start: the rows of
+    the full form whose pivot is at least start, without their first start
+    entries.  Those rows are zero before start, and back substitution
+    among them reads only their own pivots, so it runs on them alone,
+    shifted down to the block.
     """
     rows = list(rows)
     if not rows:
         return [], []
+    if not 0 <= start <= len(rows[0]):
+        raise ValueError(f"start {start} is outside 0 .. {len(rows[0])}")
     packing = row_packing(fld, len(rows[0]))
     zero = packing.zero
     by_lead = {}
@@ -553,6 +643,15 @@ def rref(rows, fld: FiniteField):
                 by_lead.setdefault(packing.lead(v), []).append(v)
         echelon.append(minus[packing.minus_one])
         pivots.append(col)
+    if start:
+        cut = bisect_left(pivots, start)
+        pivots = [col - start for col in pivots[cut:]]
+        if packing.bits is None:
+            echelon = [v[start:] for v in echelon[cut:]]
+        else:
+            shift = start * packing.bits
+            echelon = [v >> shift for v in echelon[cut:]]
+        packing = row_packing(fld, packing.width - start)
     packing.back_substitute(echelon, pivots)
     return [packing.unpack(v) for v in echelon], pivots
 

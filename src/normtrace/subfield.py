@@ -9,7 +9,8 @@ Two fully independent routes to the dimension of NT_u(s)|F_t are provided:
   generator matrix over F_t coordinates and solve for their F_t-combinations
   landing inside F_t^n.  Every LinearCode holds its generators in that form,
   the identity on its pivot columns, so only F_t-combinations of its rows
-  can land there, and one k x mn elimination over F_t suffices.
+  can land there, and one k x mn elimination over F_t suffices, substituted
+  back only on the rows that give the subcode.
 
 The two must always agree; the test suite asserts this on every instance.
 
@@ -188,7 +189,8 @@ def subfield_subcode_oracle(code: LinearCode,
     coordinate, then the first component of every coordinate.  In the
     reduced echelon form of these k rows of width mn, the rows whose pivot
     lies among the first components are zero before it, and their first
-    components are the reduced echelon basis of C intersect F_t^n.
+    components are the reduced echelon basis of C intersect F_t^n: rref
+    with start n(m - 1) gives just these, and substitutes back only them.
     """
     if emb.big != code.field:
         raise FieldError("embedding does not target the code's field")
@@ -216,9 +218,7 @@ def subfield_subcode_oracle(code: LinearCode,
             out[c:width:m - 1] = part
         out[width:] = first
         expanded.append(out)
-    reduced, pivots = rref(expanded, small)
-    return LinearCode(small, n, [
-        row[width:] for row, col in zip(reduced, pivots) if col >= width])
+    return LinearCode(small, n, rref(expanded, small, start=width)[0])
 
 
 def trace_code(code: LinearCode, emb: SubfieldEmbedding) -> LinearCode:

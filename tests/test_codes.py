@@ -8,7 +8,8 @@ from normtrace.codes import (affine_variety_code, build_code, check_duality,
                              footprint_is_basis)
 from normtrace.curves import enumerate_points, make_curve
 from normtrace.fields import make_field
-from normtrace.monomials import footprint, monomials_up_to
+from normtrace.linalg import row_space_basis
+from normtrace.monomials import footprint, footprint_weights, monomials_up_to
 from normtrace.reduction import SparsePolynomial, _x_exponent, monomial_poly
 
 NT3 = make_curve(2, 1, 4, 3)
@@ -50,6 +51,30 @@ EVALUATION_CURVES = [(2, 1, 2, 3), (3, 1, 2, 4), (2, 2, 2, 5), (5, 1, 2, 6),
                      (3, 1, 3, 13), (2, 1, 6, 3), (2, 3, 3, 1)]
 
 
+def fiber_starts(points):
+    """The distinct x's in point order, and the index of each one's first
+    point."""
+    xs = [x for x, _ in points]
+    distinct = sorted(set(xs), key=xs.index)
+    return distinct, [xs.index(x) for x in distinct]
+
+
+def newton_rows(fld, points, monos):
+    """Per entry: pi_i(x) y^j with pi_i(x) the product of x - x_c over the
+    first i distinct x's x_c in point order."""
+    distinct, _ = fiber_starts(points)
+    rows = []
+    for i, j in monos:
+        row = []
+        for x, y in points:
+            value = fld.pow(y, j)
+            for c in distinct[:i]:
+                value = fld.mul(value, fld.sub(x, c))
+            row.append(value)
+        rows.append(row)
+    return rows
+
+
 @pytest.mark.parametrize("params", EVALUATION_CURVES, ids=str)
 def test_fiberwise_rows_match_per_entry_evaluation(params):
     curve = make_curve(*params)
@@ -59,14 +84,40 @@ def test_fiberwise_rows_match_per_entry_evaluation(params):
     rows = codes._monomial_rows(curve, monos)
     assert all(isinstance(row, bytes if fld.order <= 256 else list)
                for row in rows)
-    assert [list(row) for row in rows] == [
-        [fld.mul(fld.pow(x, i), fld.pow(y, j)) for x, y in points]
-        for i, j in monos]
+    assert [list(row) for row in rows] == newton_rows(fld, points, monos)
     # Any subset, in any order.
     some = random.Random(str(params)).sample(monos, min(9, len(monos)))
-    assert [list(row) for row in codes._monomial_rows(curve, some)] == [
-        [fld.mul(fld.pow(x, i), fld.pow(y, j)) for x, y in points]
-        for i, j in some]
+    assert [list(row) for row in codes._monomial_rows(curve, some)] == \
+        newton_rows(fld, points, some)
+    # The Newton rows of M(s) span the code of the monomial evaluations
+    # X^i Y^j themselves, at a few s with up to 24 monomials.
+    weights = footprint_weights(curve)
+    for k in (1, 2, 7, 24):
+        s = weights[min(k, len(weights)) - 1]
+        plain = [[fld.mul(fld.pow(x, i), fld.pow(y, j)) for x, y in points]
+                 for i, j in monomials_up_to(curve, s)]
+        assert build_code(curve, s).code == \
+            row_space_basis(plain, fld, curve.n), s
+
+
+def last_y_exponent(curve, c, s):
+    """J(c): the largest j < q^{r-1} with c q^{r-1} + j u <= s, or -1."""
+    return max((j for j in range(curve.weight_x)
+                if c * curve.weight_x + j * curve.u <= s), default=-1)
+
+
+@pytest.mark.parametrize("params", [(2, 1, 4, 3), (2, 1, 4, 5)] +
+                         EVALUATION_CURVES[:-1], ids=str)
+def test_pivots_are_the_first_points_of_each_fiber(params):
+    """The pivots of NT_u(s) are, in each fiber c, its first J(c) + 1
+    points: the block structure the Newton rows eliminate by."""
+    curve = make_curve(*params)
+    distinct, starts = fiber_starts(enumerate_points(curve))
+    for s in sorted({*range(-1, curve.max_weight + 2, 3),
+                     curve.max_weight + 1}):
+        expect = tuple(start + j for c, start in enumerate(starts)
+                       for j in range(last_y_exponent(curve, c, s) + 1))
+        assert build_code(curve, s).code.pivots == expect, s
 
 
 # NT3, NT5 and the evaluation curves up to F_64, and (17,1,2,1) over F_289

@@ -244,6 +244,74 @@ def test_lane_rref_matches_per_entry_reference(fld):
                 assert rref([bytes(r) for r in rows], fld) == expect
 
 
+def triangle(fld, size, c, tail):
+    """Rows R_i = P_i + c * sum_{j>i} P_j and their reduced echelon form P,
+    where P_i is 1 at column i and -1 at the tail columns after the first
+    size.  R_i is c at every later pivot column, so back substitution
+    clears size - 1 - i entries of one value from row i (with one digit
+    pattern), and adds as many images of the P_j, each -1 = p - 1 in its
+    first digit lane at every tail column."""
+    minus = fld.neg(1)
+    echelon = [[0] * i + [1] + [0] * (size - 1 - i) + [minus] * tail
+               for i in range(size)]
+    rows, later = [], 0
+    for i in range(size - 1, -1, -1):
+        rows.insert(0, [0] * i + [1] + [c] * (size - 1 - i) +
+                    [fld.mul(minus, fld.add(1, later))] * tail)
+        later = fld.add(later, c)
+    return rows, (echelon, list(range(size)))
+
+
+@pytest.mark.parametrize("fld", LANE_FIELDS, ids=repr)
+def test_back_substitution_of_equal_entries_matches_reference(fld):
+    rng = random.Random(fld.order + 2)
+    for c in {1, fld.order - 1, rng.randrange(1, fld.order)}:
+        rows, expect = triangle(fld, 9, c, 5)
+        assert rref(rows, fld) == expect == reference_rref(rows, fld)
+
+
+@pytest.mark.parametrize("p,e,size,width", [
+    (3, 1, 140, 150),  # one sum of 139 rows, past span + 1 = 127
+    (127, 1, 24, 40),  # span = 1: every sum of three rows is split
+    (5, 2, 40, 60),    # F_25 and F_27: the digits past the first take
+    (3, 3, 40, 60),    # part in the sums
+])
+def test_grouped_back_substitution_matches_reference(p, e, size, width):
+    fld = make_field(p, e)
+    packing = row_packing(fld, width)
+    assert type(packing) is DigitLanes
+    rng = random.Random(p * e)
+    c = rng.randrange(p, fld.order) if e > 1 else p - 1
+    rows, expect = triangle(fld, size, c, width - size)
+    if (p, e) == (3, 1):
+        assert size - 1 > packing.span + 1
+    assert rref(rows, fld) == expect == reference_rref(rows, fld)
+    rows = [[rng.randrange(fld.order) for _ in range(width)]
+            for _ in range(size)]
+    assert rref(rows, fld) == reference_rref(rows, fld)
+
+
+@pytest.mark.parametrize("fld", LANE_FIELDS, ids=repr)
+def test_rref_from_start_matches_reference_block(fld):
+    """rref(rows, fld, start): the reference form's rows with pivot at
+    least start, without their first start entries, pivots counted from
+    start."""
+    rng = random.Random(fld.order + 3)
+    for width in (1, 8, 129):
+        for rows in lane_matrices(rng, fld, width):
+            full, pivots = reference_rref(rows, fld)
+            for start in sorted({0, 1, width // 2, width}):
+                expect = ([row[start:] for row, col in zip(full, pivots)
+                           if col >= start],
+                          [col - start for col in pivots if col >= start])
+                assert rref(rows, fld, start) == expect, start
+                if fld.order <= 256:
+                    assert rref([bytes(r) for r in rows], fld, start) == \
+                        expect, start
+    with pytest.raises(ValueError):
+        rref([[1, 0]], fld, 3)
+
+
 @pytest.mark.parametrize("fld", LANE_FIELDS, ids=repr)
 def test_pivots_codeword_and_contains_match_elimination(fld):
     # Every packing: pivots as rref finds them, codewords as per-entry sums
