@@ -14,7 +14,10 @@ for (a, b) a sum of exponents of a weight-<=s and a weight-<=s' monomial.
 Which S(a, b) vanish is one table per curve, built on first use over the
 reduced X exponents a <= u(q-1) (x^{u(q-1)+1} = x at every point) and every
 Y exponent sum; a check reads the staircase of exponent sums of M(s) and
-M(s') in it.
+M(s') in it.  The table has a closed form: the x with x^u = c != 0 are a
+coset of the u-th roots of unity, so the sum of x^a over them vanishes
+unless u divides a, and only the q rows a = ku are built, from one sum of
+y^b per trace value and the twist read once per value (_power_sum_table).
 
 Footprint monomials evaluate to a basis of the functions on the points,
 so each dimension is a count of monomials.  footprint_is_basis proves this
@@ -227,29 +230,45 @@ def _power_sum_table(curve: CurveSpec) -> tuple:
     the twisted power sum S(a, b) = sum_P v_P x^a y^b is nonzero, for
     b = 0 .. 2(q^{r-1} - 1), the largest sum of two footprint Y exponents.
 
-    Fibers (the points with one x) that hold the same y's form a class, and
-    S(a, b) is the sum over the classes of (sum of v(x) x^a over its x's)
-    times (sum of y^b over its y's).
+    The points with x^u = c, for c in F_q, form a class: the x's with
+    x^u = c times the y's with Tr(y) = c.  The class c = 0 is x = 0 alone,
+    and for c != 0 the x's are a coset x_0 mu_u of the u-th roots of
+    unity (u divides q^r - 1, so mu_u has u elements, and u != 0 in F_p).
+    The twist v is constant on a class, v_c, and is read at one x of it.
+    So S(a, b) = sum_c v_c (sum_{x^u=c} x^a) Y_c(b), Y_c(b) the sum of y^b
+    over Tr(y) = c.  The x-sum is 0^a = [a = 0] for c = 0; for c != 0 it is
+    x_0^a sum_{z in mu_u} z^a, which is 0 unless u divides a, and
+    u x_0^{ku} = u c^k for a = ku.  So a row is zero unless a = ku, and as
+    a <= u(q-1), k runs over 0 .. q-1:
+
+        S(ku, b) = [k = 0] v_0 Y_0(b) + sum_{c != 0} v_c u c^k Y_c(b).
+
+    The Y_c(b) are column sums of the powers of the y's of each class,
+    read from the field's exp table.
     """
     fld = curve.field
-    period = curve.u * (curve.q - 1)
-    top = 2 * (curve.q ** (curve.r - 1) - 1)
-    classes = {}
+    q, u = curve.q, curve.u
+    top = 2 * (q ** (curve.r - 1) - 1)
+    classes = {}  # c -> (v_c, Y_c(0 .. top))
     for x, ys in _fibers(curve).items():
-        classes.setdefault(tuple(ys), []).append(x)
-    factors = []
-    for ys, xs in classes.items():
-        twisted = [(x, _duality_twist(curve, x)) for x in xs]
-        factors.append((
-            [field_sum(fld, (fld.mul(v, fld.pow(x, a)) for x, v in twisted))
-             for a in range(period + 1)],
-            [field_sum(fld, (fld.pow(y, b) for y in ys))
-             for b in range(top + 1)]))
-    return tuple(
-        sum(1 << b for b in range(top + 1)
-            if field_sum(fld, (fld.mul(xsum[a], ysum[b])
-                               for xsum, ysum in factors)))
-        for a in range(period + 1))
+        c = fld.pow(x, u)
+        if c not in classes:
+            classes[c] = (_duality_twist(curve, x), [
+                field_sum(fld, column) for column in
+                zip(*(fld.powers(y, top + 1) for y in ys))])
+    v0, y0 = classes.pop(0)
+    scale = u % curve.p  # u as an element of F_p, which has the same code
+    rows = [0] * (u * (q - 1) + 1)
+    for k in range(q):
+        terms = [(fld.mul(v, fld.mul(scale, fld.pow(c, k))), ysum)
+                 for c, (v, ysum) in classes.items()]
+        if k == 0:
+            terms.append((v0, y0))
+        rows[k * u] = sum(
+            1 << b for b in range(top + 1)
+            if field_sum(fld, (fld.mul(coeff, ysum[b])
+                               for coeff, ysum in terms)))
+    return tuple(rows)
 
 
 def _column_tops(monos) -> dict:

@@ -31,7 +31,7 @@ from .curves import CurveSpec
 from .fields import FieldError
 from .linalg import LinearCode, kernel, parity_check_rows, row_packing, \
     row_space_basis, rref
-from .monomials import footprint, footprint_paper_variant, weight
+from .monomials import footprint, footprint_paper_variant
 
 DEFAULT_BUDGET = 1 << 26
 
@@ -71,7 +71,9 @@ def _order_bound_counts(curve: CurveSpec, variant: str) -> tuple:
     With D the int whose bit w is set when w is a monomial weight, and L_m
     the int of the weights that occur at least m times, the count is the
     sum over m of the bits in L_m & (D << w(P)): bit w(K) of D << w(P) is
-    set when w(K) - w(P) is a monomial weight.
+    set when w(K) - w(P) is a monomial weight.  The L_m are stacked in one
+    int, a block of 2 max(w) + 1 bits each, against as many copies of D,
+    so that each count is one bit count: D << w(P) stays inside its block.
     """
     if variant == "footprint":
         delta = footprint(curve)
@@ -79,13 +81,15 @@ def _order_bound_counts(curve: CurveSpec, variant: str) -> tuple:
         delta = footprint_paper_variant(curve)
     else:
         raise ValueError(f"unknown variant {variant!r}")
-    counts = Counter(weight(curve, m) for m in delta)
-    levels = [sum(1 << w for w, c in counts.items() if c >= m)
-              for m in range(1, max(counts.values()) + 1)]
-    weights = levels[0]
-    return tuple((wp, sum((level & weights << wp).bit_count()
-                          for level in levels))
-                 for wp in counts)
+    wx, wy = curve.weight_x, curve.weight_y
+    counts = Counter(wx * i + wy * j for i, j in delta)
+    weights = sum(1 << w for w in counts)
+    block = 2 * max(counts) + 1
+    stacked = spread = 0
+    for m in range(max(counts.values())):
+        stacked |= sum(1 << w for w, c in counts.items() if c > m) << m * block
+        spread |= weights << m * block
+    return tuple((wp, (stacked & spread << wp).bit_count()) for wp in counts)
 
 
 def geil_bound(curve: CurveSpec, s: int, variant: str = "footprint") -> int:

@@ -5,6 +5,12 @@ polynomial-basis coefficient vector (a_0, ..., a_{e-1}) as sum(a_i * p^i).
 All arithmetic goes through a FiniteField instance; for orders up to 2^16
 multiplication and inversion use precomputed exp/log tables, above that they
 fall back to polynomial arithmetic modulo the field's irreducible modulus.
+The modulus is the smallest irreducible one by the integer encoding of its
+lower coefficients.  The exp table holds the powers of x, the
+polynomial-basis element, stepped by the F_p-linear map "times x" (a shift
+of the coefficients, then the top one times the modulus taken off), when
+x generates the units; otherwise the powers of the smallest generator.
+`powers` reads a run of powers of one element off the exp table.
 `scale_row` takes one `mul` per entry; linalg's EntryRows scales rows with
 it over the fields whose entries do not fit byte lanes (order above 256, or
 characteristic from 131 to 251).
@@ -19,8 +25,9 @@ subfield orders, raising FieldError for the others.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import product
+from operator import xor
 
 MAX_FIELD_ORDER = 1 << 20
 _TABLE_LIMIT = 1 << 16
@@ -275,6 +282,18 @@ class FiniteField:
             n >>= 1
         return result
 
+    def powers(self, a: int, count: int) -> list:
+        """[a^0, a^1, ..., a^{count-1}], read from the exp table at the
+        exponents i log(a) when there is one."""
+        if a == 0 or self._log is None:
+            out, acc = [], 1
+            for _ in range(count):
+                out.append(acc)
+                acc = self.mul(acc, a)
+            return out
+        exp, period, step = self._exp, self.order - 1, self._log[a]
+        return [exp[i * step % period] for i in range(count)]
+
     def elements(self):
         return range(self.order)
 
@@ -285,20 +304,59 @@ class FiniteField:
     # -- discrete-log tables --
 
     def _build_tables(self):
+        """exp[i] = g^i and log[g^i] = i for a generator g of the units.
+
+        When x, the polynomial-basis element, generates the units, g = x
+        and exp is stepped by the F_p-linear map "times x": every
+        coefficient moves up one place, and the one that passes degree
+        e - 1 comes back as minus itself times the modulus's lower
+        coefficients.  Otherwise (e = 1, or x of smaller order) g is the
+        smallest generator, found by search, and exp is stepped by
+        _mul_poly.  The tables differ with g, but mul, inv and pow do not.
+        """
         target = self.order - 1
-        factors = _prime_factors(target) if target > 1 else []
-        for g in range(1, self.order):
-            if all(self.pow(g, target // f) != 1 for f in factors):
-                break
-        exp = [0] * target
+        exp = self._x_powers() if self.e > 1 else None
+        if exp is None:
+            factors = _prime_factors(target) if target > 1 else []
+            for g in range(1, self.order):
+                if all(self.pow(g, target // f) != 1 for f in factors):
+                    break
+            exp, acc = [], 1
+            for _ in range(target):
+                exp.append(acc)
+                acc = self._mul_poly(acc, g)
         log = [0] * self.order
-        acc = 1
-        for i in range(target):
-            exp[i] = acc
-            log[acc] = i
-            acc = self._mul_poly(acc, g)
+        for i, v in enumerate(exp):
+            log[v] = i
         self._exp = exp
         self._log = log
+
+    def _x_powers(self):
+        """[x^0, ..., x^{order-2}] when x generates the units, else None."""
+        p, e, target = self.p, self.e, self.order - 1
+        exp = [1]
+        if p == 2:
+            modulus, top = self.encode(self.modulus), self.order
+            acc = 2
+            while acc != 1:
+                exp.append(acc)
+                acc <<= 1
+                if acc & top:
+                    acc ^= modulus
+        else:
+            minus = [-c % p for c in self.modulus[:e]]
+            coeffs = [0, 1] + [0] * (e - 2)
+            while coeffs[0] != 1 or any(coeffs[1:]):
+                acc = 0
+                for c in reversed(coeffs):
+                    acc = acc * p + c
+                exp.append(acc)
+                high = coeffs.pop()
+                coeffs.insert(0, 0)
+                if high:
+                    coeffs = [(c + high * m) % p
+                              for c, m in zip(coeffs, minus)]
+        return exp if len(exp) == target else None
 
     # -- structure --
 
@@ -338,6 +396,8 @@ class FiniteField:
 
 def field_sum(fld: FiniteField, values) -> int:
     """The sum of the field elements in values."""
+    if fld.p == 2:
+        return reduce(xor, values, 0)
     total = 0
     for v in values:
         total = fld.add(total, v)

@@ -19,10 +19,10 @@ distance searches each have one code path.
 rref eliminates forward, then substitutes back.  Each packing clears the
 entries above the pivots its own way: an in-place test and XOR over F_2
 and over F_4 ... F_256, one grouped sum per row over the odd digit lanes,
-and one product and addition per entry over the other fields.  A caller
-that keeps only the part of the row space that vanishes before some
-column passes it as rref's `start`, and only those rows are substituted
-back.
+and over the other fields one product and addition per nonzero entry of
+the finished row, from its pivot on.  A caller that keeps only the part
+of the row space that vanishes before some column passes it as rref's
+`start`, and only those rows are substituted back.
 """
 
 from __future__ import annotations
@@ -75,20 +75,9 @@ class _Packing:
         every other pivot column, so subtracting it from a row above leaves
         that row's other pivot entries unchanged: a row's entries at the
         later pivot columns are those it had before back substitution.
-        Here each row is unpacked once, up front, its entries at the pivot
-        columns are read from that, and each entry costs one product (built
-        on first use per pivot row and scalar) and one addition.  The
-        packings of the fields of order at most 256 override this.
+        Each packing clears the entries its own way.
         """
-        later = list(map(self.unpack, echelon))
-        add, reduce, key = self.add, self.reduce, self.key
-        for j in range(len(echelon) - 1, 0, -1):
-            col = pivots[j]
-            minus = self.pivot_multiples(echelon[j], col)
-            for i in range(j):
-                c = later[i][col]
-                if c:
-                    echelon[i] = reduce(add(echelon[i], minus[key(c)]))
+        raise NotImplementedError
 
     def eliminate(self, v, rows) -> list:
         """Each row minus the multiple of v that clears its entry at the
@@ -542,6 +531,24 @@ class EntryRows(_Packing):
         add = self.fld.add
         return [u[:col] + list(map(add, u[col:], minus[u[col]][col:]))
                 if u[col] else u for u in rows]
+
+    def back_substitute(self, echelon: list, pivots: list) -> None:
+        """As _Packing.back_substitute, in place, from the bottom.  A
+        finished row P_j is zero before its pivot, so a row above with c at
+        P_j's pivot column takes c times -P_j at the nonzero entries of P_j
+        from the pivot on: one product and one addition per entry, none
+        for the zeros.  When k = n every finished row is a unit vector,
+        and each row above costs one entry per pivot below it."""
+        fld, width = self.fld, self.width
+        add, mul, neg = fld.add, fld.mul, fld.neg
+        for j in range(len(echelon) - 1, 0, -1):
+            col, pivot = pivots[j], echelon[j]
+            minus = [(k, neg(pivot[k])) for k in range(col, width) if pivot[k]]
+            for row in echelon[:j]:
+                c = row[col]
+                if c:
+                    for k, m in minus:
+                        row[k] = add(row[k], mul(c, m))
 
     def add(self, a: list, b: list) -> list:
         return list(map(self.fld.add, a, b))

@@ -33,20 +33,27 @@ def compare(curve: CurveSpec, m1: Monomial, m2: Monomial) -> int:
     return (k1 > k2) - (k1 < k2)
 
 
+def _ordered_box(curve: CurveSpec, height: int) -> tuple:
+    """The monomials X^i Y^j, 0 <= i <= u(q-1), 0 <= j < height, sorted by
+    the monomial order.  Each is sorted as (weight, j, i), built inline:
+    weight and j fix i, so this is the order of order_key."""
+    wx, wy = curve.weight_x, curve.weight_y
+    keyed = sorted((wx * i + wy * j, j, i)
+                   for i in range(curve.u * (curve.q - 1) + 1)
+                   for j in range(height))
+    return tuple((i, j) for _, j, i in keyed)
+
+
 @lru_cache(maxsize=None)
 def footprint(curve: CurveSpec) -> tuple:
     """The n standard monomials X^i Y^j, 0 <= i <= u(q-1), 0 <= j < q^{r-1}.
 
-    Sorted by the monomial order.  These are exactly the monomials not
-    divisible by a leading term of the curve ideal basis, and they evaluate
-    to a basis of the functions on the point set.
+    Sorted by the monomial order, on (weight, j) keys built inline
+    (_ordered_box).  These are exactly the monomials not divisible by a
+    leading term of the curve ideal basis, and they evaluate to a basis of
+    the functions on the point set.
     """
-    q, u = curve.q, curve.u
-    monos = [(i, j)
-             for i in range(u * (q - 1) + 1)
-             for j in range(q ** (curve.r - 1))]
-    monos.sort(key=lambda m: order_key(curve, m))
-    return tuple(monos)
+    return _ordered_box(curve, curve.q ** (curve.r - 1))
 
 
 @lru_cache(maxsize=None)
@@ -56,19 +63,15 @@ def footprint_paper_variant(curve: CurveSpec) -> tuple:
     Only used by the distance bound's alternate mode; the true footprint is
     :func:`footprint`.
     """
-    q, u = curve.q, curve.u
-    monos = [(i, j)
-             for i in range(u * (q - 1) + 1)
-             for j in range(q ** (curve.r - 1) + 1)]
-    monos.sort(key=lambda m: order_key(curve, m))
-    return tuple(monos)
+    return _ordered_box(curve, curve.q ** (curve.r - 1) + 1)
 
 
 @lru_cache(maxsize=None)
 def footprint_weights(curve: CurveSpec) -> tuple:
     """The weights of the footprint monomials, in footprint order: strictly
     increasing, since weights are injective on the footprint."""
-    return tuple(weight(curve, m) for m in footprint(curve))
+    wx, wy = curve.weight_x, curve.weight_y
+    return tuple(wx * i + wy * j for i, j in footprint(curve))
 
 
 def monomials_up_to(curve: CurveSpec, s: int) -> list:

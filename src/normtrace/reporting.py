@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .codes import check_duality, dual_weight, dual_weight_printed_formula
@@ -57,7 +57,9 @@ class CodeReport:
         return (self.p, self.l, self.r, self.u, self.s, self.t)
 
     def to_json(self) -> str:
-        return json.dumps(asdict(self), sort_keys=True)
+        # The fields are plain JSON values, so vars(self) is what asdict
+        # would copy.
+        return json.dumps(vars(self), sort_keys=True)
 
     @staticmethod
     def from_json(text: str) -> "CodeReport":
@@ -154,8 +156,10 @@ class CacheError(Exception):
     records."""
 
 
-def read_cache(path) -> dict:
-    """Load the JSON-lines cache, rejecting duplicate keys."""
+def _parse_cache(path) -> dict:
+    """key -> record of the JSON-lines cache, a dict of the CodeReport
+    fields of each line, with any other field dropped.  A line that is not
+    such a record, or repeats a key, raises CacheError naming the line."""
     out = {}
     path = Path(path)
     if not path.exists():
@@ -164,14 +168,22 @@ def read_cache(path) -> dict:
         if not line.strip():
             continue
         try:
-            rep = CodeReport.from_json(line)
+            data = json.loads(line)
+            rec = {f: data[f] for f in REPORT_FIELDS}
         except (ValueError, KeyError, TypeError) as exc:
             raise CacheError(f"malformed cache record at line {lineno}: "
                              f"{exc}") from None
-        if rep.key() in out:
-            raise CacheError(f"duplicate cache key {rep.key()} at line {lineno}")
-        out[rep.key()] = rep
+        key = (rec["p"], rec["l"], rec["r"], rec["u"], rec["s"], rec["t"])
+        if key in out:
+            raise CacheError(f"duplicate cache key {key} at line {lineno}")
+        out[key] = rec
     return out
+
+
+def read_cache(path) -> dict:
+    """Load the JSON-lines cache as key -> CodeReport, rejecting malformed
+    records and duplicate keys as sweep does."""
+    return {key: CodeReport(**rec) for key, rec in _parse_cache(path).items()}
 
 
 def sweep(p: int, l: int, r: int, u: int, s_values, t: int,
@@ -180,7 +192,9 @@ def sweep(p: int, l: int, r: int, u: int, s_values, t: int,
           budget: int = DEFAULT_BUDGET) -> list:
     """One report per s, appending new records to the JSON-lines cache.
 
-    A cached record is served unless force=True, or unless it has no exact
+    The cache is parsed once into plain records (_parse_cache), every line
+    checked, and a CodeReport is made only for the records served.  A
+    cached record is served unless force=True, or unless it has no exact
     distance and the request asks for one (exact is not False).  Records
     recomputed for a cached key replace the cache file wholesale to keep
     keys unique, through a temp file in the same directory and os.replace,
@@ -188,23 +202,23 @@ def sweep(p: int, l: int, r: int, u: int, s_values, t: int,
     raises, the records finished before it are written the same way and
     the error propagates.
     """
-    cached = read_cache(cache_path) if cache_path else {}
+    cached = _parse_cache(cache_path) if cache_path else {}
     results = []
     fresh = []
     rewrite = force
     try:
         for s in s_values:
             key = (p, l, r, u, s, t)
-            rep = cached.get(key)
-            if rep is not None and not force and (
-                    exact is False or rep.exact_distance is not None):
-                results.append(rep)
+            rec = cached.get(key)
+            if rec is not None and not force and (
+                    exact is False or rec["exact_distance"] is not None):
+                results.append(CodeReport(**rec))
                 continue
-            rewrite = rewrite or rep is not None
+            rewrite = rewrite or rec is not None
             rep = run_report(p, l, r, u, s, t, exact=exact, budget=budget)
             results.append(rep)
             fresh.append(rep)
-            cached[key] = rep
+            cached[key] = vars(rep)
     finally:
         if cache_path and fresh:
             path = Path(cache_path)
@@ -214,8 +228,8 @@ def sweep(p: int, l: int, r: int, u: int, s_values, t: int,
                 fh = tmp.open("x")
                 try:
                     with fh:
-                        fh.writelines(rep.to_json() + "\n"
-                                      for rep in cached.values())
+                        fh.writelines(CodeReport(**rec).to_json() + "\n"
+                                      for rec in cached.values())
                         fh.flush()
                         os.fsync(fh.fileno())
                     os.replace(tmp, path)

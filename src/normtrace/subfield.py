@@ -72,13 +72,15 @@ class _TracePass:
     Monomial X^i Y^j brings its powers X^{i t^k} Y^{j t^k}, k < m, in turn.
     Each power is first brought to its canonical exponents (X as in
     _x_exponent, Y as in _y_exponent), which fix its normal form, and an
-    exponent pair seen before is skipped.  The normal form of a new pair
-    (a, b) is row b of the curve's NormalFormTable, a packed row over F_p,
-    times X^a: one shift and fold of its lanes.  It is reduced as it is
-    against an echelon basis kept in the same packing: the normal forms of
-    monomials have coefficients in F_p, and a rank does not change when
-    the field is extended.  The pass goes only as far as the highest
-    weight asked so far.
+    exponent pair seen before is skipped.  The Frobenius maps on canonical
+    exponents, a -> canonical(a t) and b -> canonical(b t), are two lists
+    built with the pass, so each step is two lookups.  The normal form of
+    a new pair (a, b) is row b of the curve's NormalFormTable, a packed
+    row over F_p, times X^a: one shift and fold of its lanes.  It is
+    reduced as it is against an echelon basis kept in the same packing:
+    the normal forms of monomials have coefficients in F_p, and a rank
+    does not change when the field is extended.  The pass goes only as
+    far as the highest weight asked so far.
 
     Distinct canonical pairs give distinct normal forms, so no form is
     seen twice.  The pairs reached have a, a' <= P = u(q-1) and
@@ -106,11 +108,19 @@ class _TracePass:
         self.exponents = set()
         self.table = normal_form_table(curve)
         self.basis = {}  # pivot column -> pivot_multiples of its row
+        # The canonical exponents of t times a canonical X or Y exponent.
+        self.x_next = [_x_exponent(curve, a * t)
+                       for a in range(curve.u * (curve.q - 1) + 1)]
+        self.y_next = [_y_exponent(curve, b * t)
+                       for b in range(len(self.table.rows))]
 
     def extend_to(self, s: int) -> None:
-        curve, t, table = self.curve, self.t, self.table
-        monos, weights = footprint(curve), footprint_weights(curve)
+        table, insert = self.table, self._insert
+        x_next, y_next, y_rows = self.x_next, self.y_next, self.table.rows
+        monos, weights = footprint(self.curve), footprint_weights(self.curve)
         seen, rows, ranks = self.exponents, self.rows, self.ranks
+        origins = self.origins
+        rank = ranks[-1] if ranks else 0
         stop = bisect_right(weights, s)
         for pos in range(self.done, stop):
             a, b = monos[pos]
@@ -119,25 +129,26 @@ class _TracePass:
                 # power's canonical pair is that of t times this pair.
                 if (a, b) not in seen:
                     seen.add((a, b))
-                    row = table.times_x(a, table.rows[b])
+                    row = table.times_x(a, y_rows[b])
                     rows.append(row)
-                    self.origins.append(weights[pos])
-                    ranks.append((ranks[-1] if ranks else 0) +
-                                 self._insert(row))
-                a, b = _x_exponent(curve, a * t), _y_exponent(curve, b * t)
+                    origins.append(weights[pos])
+                    rank += insert(row)
+                    ranks.append(rank)
+                a, b = x_next[a], y_next[b]
         self.done = max(self.done, stop)
 
     def _insert(self, v) -> int:
         """1 if the row v is independent of the rows before it, and then it
         joins the basis; else 0."""
-        packing = self.table.packing
-        while v != packing.zero:
-            col = packing.lead(v)
-            minus = self.basis.get(col)
+        packing, basis = self.table.packing, self.basis
+        zero, lead, sweep = packing.zero, packing.lead, packing.sweep
+        while v != zero:
+            col = lead(v)
+            minus = basis.get(col)
             if minus is None:
-                self.basis[col] = packing.pivot_multiples(v, col)
+                basis[col] = packing.pivot_multiples(v, col)
                 return 1
-            v = packing.sweep([v], minus, col)[0]
+            v = sweep([v], minus, col)[0]
         return 0
 
 

@@ -201,7 +201,8 @@ def test_check_duality_twisted_in_odd_characteristic():
 
 
 @pytest.mark.parametrize("params", [(2, 1, 4, 3), (2, 2, 2, 5), (3, 1, 2, 2),
-                                    (5, 1, 2, 3)], ids=str)
+                                    (5, 1, 2, 3), (2, 1, 4, 15), (2, 1, 6, 3),
+                                    (5, 1, 2, 6), (3, 1, 3, 13)], ids=str)
 def test_power_sum_table_matches_point_sums(params):
     """Each bit of the table against sum_P v_P x^a y^b taken point by
     point, for every a up to u(q - 1) and b up to 2(q^{r-1} - 1), and the

@@ -3,8 +3,8 @@ import random
 import pytest
 
 from normtrace.curves import make_curve
-from normtrace.fields import (FieldError, embedding, make_field,
-                              subfield_of_order, trace_to)
+from normtrace.fields import (FieldError, FiniteField, embedding,
+                              make_field, subfield_of_order, trace_to)
 from normtrace.linalg import LinearCode
 from normtrace.reduction import SparsePolynomial, frobenius_power
 from normtrace.subfield import code_frobenius, is_frobenius_invariant
@@ -20,6 +20,87 @@ def test_make_field_moduli():
     assert F16.order == 16
     # field axiom a^16 = a
     assert all(F16.pow(a, 16) == a for a in F16.elements())
+
+
+# The modulus of each field the tests, the curves and the packings use: the
+# smallest irreducible one by the integer encoding of its lower
+# coefficients, low degree first.  Every element's code depends on it.
+MODULI = {
+    (2, 1): (0, 1), (2, 2): (1, 1, 1), (2, 3): (1, 1, 0, 1),
+    (2, 4): (1, 1, 0, 0, 1), (2, 5): (1, 0, 1, 0, 0, 1),
+    (2, 6): (1, 1, 0, 0, 0, 0, 1), (2, 7): (1, 1, 0, 0, 0, 0, 0, 1),
+    (2, 8): (1, 1, 0, 1, 1, 0, 0, 0, 1), (3, 1): (0, 1), (3, 2): (1, 0, 1),
+    (3, 3): (1, 2, 0, 1), (3, 4): (2, 1, 0, 0, 1), (3, 5): (1, 2, 0, 0, 0, 1),
+    (5, 1): (0, 1), (5, 2): (2, 0, 1), (5, 3): (1, 1, 0, 1), (7, 1): (0, 1),
+    (7, 2): (1, 0, 1), (11, 1): (0, 1), (11, 2): (1, 0, 1), (13, 1): (0, 1),
+    (13, 2): (2, 0, 1), (17, 1): (0, 1), (127, 1): (0, 1), (131, 1): (0, 1),
+    (17, 2): (3, 0, 1), (2, 9): (1, 1, 0, 0, 0, 0, 0, 0, 0, 1),
+    (3, 6): (2, 1, 0, 0, 0, 0, 1),
+}
+
+
+def test_moduli_are_pinned():
+    assert {pe: make_field(*pe).modulus for pe in MODULI} == MODULI
+
+
+def poly_pow(fld, a, n):
+    """a^n by square-and-multiply over the polynomial product."""
+    result = 1
+    while n:
+        if n & 1:
+            result = fld._mul_poly(result, a)
+        a = fld._mul_poly(a, a)
+        n >>= 1
+    return result
+
+
+def check_against_polynomials(fld, pairs, elements):
+    top = fld.order - 1
+    for a, b in pairs:
+        assert fld.mul(a, b) == fld._mul_poly(a, b), (a, b)
+    for a in elements:
+        exponents = [0, 1, 2, 3, top - 1, top, top + 1, 5 * top + 7]
+        assert [fld.pow(a, n) for n in exponents] == \
+            [poly_pow(fld, a, n) for n in exponents], a
+        assert fld.powers(a, 6) == [poly_pow(fld, a, n) for n in range(6)]
+        if a:
+            assert fld.inv(a) == poly_pow(fld, a, fld.order - 2), a
+            assert fld.pow(a, -3) == poly_pow(fld, fld.inv(a), 3), a
+
+
+@pytest.mark.parametrize("p,e", [pe for pe in MODULI if pe[0] ** pe[1] <= 256],
+                         ids=str)
+def test_field_tables_match_polynomial_reference(p, e):
+    """mul, inv, pow and powers against the polynomial product modulo the
+    modulus, on every pair of elements: the exp/log tables are stepped by
+    "times x" when x generates the units, and by a searched generator
+    otherwise."""
+    fld = make_field(p, e)
+    elements = fld.elements()
+    check_against_polynomials(
+        fld, ((a, b) for a in elements for b in elements), elements)
+
+
+@pytest.mark.parametrize("p,e", [(17, 2), (2, 9), (3, 6)], ids=str)
+def test_large_field_tables_match_polynomial_reference(p, e):
+    fld = make_field(p, e)
+    rng = random.Random(p * e)
+    pairs = [(rng.randrange(fld.order), rng.randrange(fld.order))
+             for _ in range(3000)]
+    elements = [0, 1, p, fld.order - 1] + \
+        [rng.randrange(fld.order) for _ in range(200)]
+    check_against_polynomials(fld, pairs, elements)
+
+
+def test_tables_of_primitive_x_take_no_polynomial_products(monkeypatch):
+    """Where x generates the units (F_16, F_64, F_27, F_729 with their
+    moduli), the exp table is stepped by "times x" alone."""
+    def refuse(self, a, b):
+        raise AssertionError("polynomial product while building tables")
+    monkeypatch.setattr(FiniteField, "_mul_poly", refuse)
+    for p, e in [(2, 4), (2, 6), (3, 3), (3, 6)]:
+        fld = FiniteField(p, e)
+        assert fld._exp[1] == p and len(set(fld._exp)) == fld.order - 1
 
 
 def test_make_field_rejects_bad_parameters():

@@ -159,6 +159,26 @@ def test_rref_matches_per_entry_reference():
             assert rref([tuple(r) for r in rows], fld) == expect
 
 
+def test_square_full_rank_entry_rows_match_reference():
+    """A square full-rank matrix over F_289, as the Newton rows of the
+    (17,1,2,1) curve give one: forward elimination leaves a triangle, and
+    back substitution clears every entry above the diagonal, with unit
+    rows below.  Also a triangle whose finished rows are dense."""
+    fld = make_field(17, 2)
+    assert type(row_packing(fld, 30)) is EntryRows
+    rng = random.Random(289)
+    rows = [[rng.randrange(fld.order) for _ in range(30)] for _ in range(30)]
+    expect = reference_rref(rows, fld)
+    assert expect[1] == list(range(30))
+    assert rref(rows, fld) == expect
+    upper = [[0] * i + [rng.randrange(1, fld.order)] +
+             [rng.randrange(fld.order) for _ in range(29 - i)]
+             for i in range(30)]
+    assert rref(upper, fld) == reference_rref(upper, fld)
+    rows, expect = triangle(fld, 20, rng.randrange(2, fld.order), 10)
+    assert rref(rows, fld) == expect == reference_rref(rows, fld)
+
+
 # Every packing: F_2 in BitRows, F_4 ... F_256 in LaneRows, F_3 ... F_243
 # in DigitLanes with one to five digits per entry and p up to 127, and
 # F_131, F_512 and F_729 in EntryRows.

@@ -181,6 +181,8 @@ def test_sweep_force_failure_keeps_old_cache(tmp_path, monkeypatch, failing):
         monkeypatch.setattr("normtrace.reporting.os.replace", refuse)
     with pytest.raises((RuntimeError, OSError)):
         sweep(2, 1, 4, 3, range(0, 3), 2, cache_path=cache, force=True)
+    if failing == "record":
+        assert len(calls) == 2
     assert cache.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["cache.jsonl"]
 
@@ -230,6 +232,58 @@ def test_cache_truncated_line_names_the_line(tmp_path):
     cache.write_text(rep.to_json() + "\n" + '{"p": 2, "l": 1\n')
     with pytest.raises(CacheError, match="line 2"):
         read_cache(cache)
+
+
+def _without_geil_bound(line):
+    data = json.loads(line)
+    del data["geil_bound"]
+    return json.dumps(data)
+
+
+@pytest.mark.parametrize("corrupt", [lambda line: "[1, 2]",
+                                     _without_geil_bound, lambda line: "7"],
+                         ids=["list", "missing field", "number"])
+def test_cache_rejects_lines_that_are_not_records(tmp_path, corrupt):
+    """Valid JSON that is not a record fails on its line number, through
+    read_cache and through sweep, also when sweep does not ask for the key
+    of that line."""
+    cache = tmp_path / "cache.jsonl"
+    lines = [run_report(2, 1, 4, 3, s, 2, exact=False).to_json()
+             for s in range(3)]
+    lines[1] = corrupt(lines[1])
+    cache.write_text("\n".join(lines) + "\n")
+    before = cache.read_bytes()
+    with pytest.raises(CacheError, match="malformed cache record at line 2"):
+        read_cache(cache)
+    for s_values in ([0], [5], [1]):
+        with pytest.raises(CacheError, match="line 2"):
+            sweep(2, 1, 4, 3, s_values, 2, cache_path=cache, exact=False)
+    assert cache.read_bytes() == before
+
+
+def test_cache_rewrite_drops_unknown_fields(tmp_path):
+    cache = tmp_path / "cache.jsonl"
+    reports = [run_report(2, 1, 4, 3, s, 2, exact=False) for s in range(2)]
+    lines = [json.loads(rep.to_json()) for rep in reports]
+    lines[0]["note"] = "added by hand"
+    cache.write_text("".join(json.dumps(line) + "\n" for line in lines))
+    # Served records are CodeReports, without the unknown field.
+    assert sweep(2, 1, 4, 3, [0], 2, cache_path=cache,
+                 exact=False) == reports[:1]
+    assert read_cache(cache) == {rep.key(): rep for rep in reports}
+    # A forced report rewrites every record from its CodeReport fields.
+    again = sweep(2, 1, 4, 3, [1], 2, cache_path=cache, exact=False,
+                  force=True)
+    assert again == reports[1:]
+    assert cache.read_text() == "".join(rep.to_json() + "\n"
+                                        for rep in reports)
+
+
+def test_report_json_matches_asdict():
+    for exact in (False, None):
+        rep = run_report(2, 1, 4, 3, 36, 2, exact=exact)
+        assert rep.to_json() == json.dumps(dataclasses.asdict(rep),
+                                           sort_keys=True)
 
 
 @pytest.mark.parametrize("text, fault", [
@@ -361,6 +415,19 @@ def test_cli_corrupt_cache_exit(tmp_path, capsys, corrupt):
                "--t", "2", "--s-range", "0:1", "--cache", str(cache)])
     assert rc == 4
     assert "line 2" in capsys.readouterr().err
+
+
+def test_cli_sweep_cache_missing_field_exit(tmp_path, capsys):
+    cache = tmp_path / "sweep.jsonl"
+    lines = [run_report(2, 1, 4, 3, s, 2, exact=False).to_json()
+             for s in range(3)]
+    lines[2] = _without_geil_bound(lines[2])
+    cache.write_text("\n".join(lines) + "\n")
+    rc = main(["sweep", "--p", "2", "--l", "1", "--r", "4", "--u", "3",
+               "--t", "2", "--s-range", "0:1", "--cache", str(cache)])
+    assert rc == 4
+    out, err = capsys.readouterr()
+    assert out == "" and "line 3" in err and "geil_bound" in err
 
 
 @pytest.mark.parametrize("argv", [
