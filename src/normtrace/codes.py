@@ -29,20 +29,21 @@ build_code still checks the rank of every code whose generators it builds.
 build_code evaluates Newton rows fiber by fiber: the points are sorted by
 x into fibers with distinct x's x_0, x_1, ..., and X^i Y^j gives the row of
 pi_i(x) y^j, pi_i(x) = prod_{c<i} (x - x_c), which is pi_i(x) times each
-fiber's y^j, one scaling per fiber.  Row (i, j) vanishes on fibers
-0 .. i-1, so the rows come to rref block-triangular, and forward
-elimination only meets rows that lead in the same fiber.
+fiber's y^j, one scaling per fiber, each a linalg.entrywise map.  Row
+(i, j) vanishes on fibers 0 .. i-1, so the rows come to rref
+block-triangular, and forward elimination only meets rows that lead in the
+same fiber.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
-from itertools import accumulate, groupby
+from functools import lru_cache, partial
+from itertools import accumulate, chain, groupby
 
 from .curves import CurveSpec, enumerate_points
 from .fields import field_sum
-from .linalg import LinearCode, row_space_basis
+from .linalg import LinearCode, entrywise, row_space_basis, row_type
 from .monomials import footprint, monomials_up_to
 from .reduction import _x_exponent
 
@@ -55,12 +56,13 @@ def _monomial_rows(curve: CurveSpec, monos) -> list:
     The points are sorted by x into fibers, so pi_i vanishes on fibers
     0 .. i-1, and the row of X^i Y^j is, fiber by fiber, pi_i(x) times that
     fiber's slice of the row of y^j over all the points: one scaling per
-    fiber.  Over fields of order at most 256 a row is `bytes` and a
-    scaling is one `bytes.translate` through the table of c * b; above
-    that a row is a list and a scaling is `scale_row`.
+    fiber.  The row of y^j and each fiber's scaling are one entrywise map,
+    and a row is `bytes` over fields of order at most 256, a list above.
     """
     fld = curve.field
+    kind = row_type(fld)
     xs, ys = zip(*enumerate_points(curve))
+    ys = kind(ys)
     fibers = [(x, len(list(group))) for x, group in groupby(xs)]
     bounds = list(accumulate((size for _, size in fibers), initial=0))
     wanted = {i for i, _ in monos}
@@ -71,25 +73,16 @@ def _monomial_rows(curve: CurveSpec, monos) -> list:
         if i < len(fibers):  # pi_{i+1} = pi_i (x - x_i); past that, zero
             pi = [fld.mul(v, fld.sub(x, fibers[i][0]))
                   for v, (x, _) in zip(pi, fibers)]
-    if fld.order <= 256:
-        ys, join = bytes(ys), b"".join
-        tables = {c: bytes(fld.scale_row(c, fld.elements())).ljust(256, b"\0")
-                  for c in {c for row in newton.values() for c in row}}
-
-        def scale(c, segment):
-            return segment.translate(tables[c])
-    else:
-        scale = fld.scale_row
-
-        def join(parts):
-            return [v for part in parts for v in part]
-    distinct = set(ys)
+    scalings = {c: entrywise(fld, partial(fld.mul, c))
+                for c in {c for row in newton.values() for c in row}}
     yfibers = {}
     for j in {j for _, j in monos}:
-        power = {y: fld.pow(y, j) for y in distinct}
-        row = type(ys)(map(power.__getitem__, ys))
+        row = entrywise(fld, lambda y: fld.pow(y, j))(ys)
         yfibers[j] = [row[a:b] for a, b in zip(bounds, bounds[1:])]
-    return [join(map(scale, newton[i], yfibers[j])) for i, j in monos]
+    join = b"".join if kind is bytes else \
+        (lambda parts: list(chain.from_iterable(parts)))
+    return [join(scalings[c](part) for c, part in zip(newton[i], yfibers[j]))
+            for i, j in monos]
 
 
 def _fibers(curve: CurveSpec) -> dict:

@@ -16,8 +16,10 @@ independent:
 
 Both take explicit work budgets; exceeding a budget raises, it never
 silently truncates, and the error carries the distance bracket reached.
-Both pack their words and columns as linalg.row_packing gives for the
-field, so each has one code path whatever the field.
+The full space needs no case of its own in the parity search (see
+exact_min_distance_parity).  Both pack their words and columns as
+linalg.row_packing gives for the field, so each has one code path whatever
+the field.
 """
 
 from __future__ import annotations
@@ -405,18 +407,15 @@ def exact_min_distance_parity(code: LinearCode,
     are dependent does not depend on the rows of the dual.  Level w searches
     the w-subsets of columns in lexicographic order and returns the first
     dependent one.  The budget counts the column subsets visited over all
-    levels, prefixes included (see _first_dependent_set).
+    levels, prefixes included (see _first_dependent_set).  Over the full
+    space the dual is zero, every column is the empty (zero) vector, and
+    level 1 finds column 0.
     """
     if code.k == 0:
         raise ValueError("the zero code has no minimum distance")
     fld = code.field
     n = code.n
-    hrows = parity_check_rows(code)
-    if not hrows:
-        # Full space: any single column is "dependent" (no constraints).
-        word = tuple(1 if i == 0 else 0 for i in range(n))
-        return DistanceResult(None, 1, "column-dependence", word)
-    cols = _columns(hrows, n)
+    cols = _columns(parity_check_rows(code), n)
     spent = 0
     for w in range(1, n + 1):
         found, spent = _first_dependent_set(cols, w, fld, spent, budget)

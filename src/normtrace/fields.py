@@ -2,14 +2,15 @@
 
 Elements of F_{p^e} are plain Python ints in [0, p^e) encoding the
 polynomial-basis coefficient vector (a_0, ..., a_{e-1}) as sum(a_i * p^i).
-All arithmetic goes through a FiniteField instance; for orders up to 2^16
-multiplication and inversion use precomputed exp/log tables, above that they
-fall back to polynomial arithmetic modulo the field's irreducible modulus.
-The modulus is the smallest irreducible one by the integer encoding of its
-lower coefficients.  The exp table holds the powers of x, the
-polynomial-basis element, stepped by the F_p-linear map "times x" (a shift
-of the coefficients, then the top one times the modulus taken off), when
-x generates the units; otherwise the powers of the smallest generator.
+All arithmetic goes through a FiniteField instance.  Orders are capped at
+2^16 (MAX_FIELD_ORDER), which every norm-trace code of length up to 1024
+stays far below, and every field has exp/log tables, built with it:
+multiplication, inversion and powers are table reads.  The modulus is the
+smallest irreducible one by the integer encoding of its lower
+coefficients.  The exp table holds the powers of x, the polynomial-basis
+element, stepped by the F_p-linear map "times x" (a shift of the
+coefficients, then the top one times the modulus taken off), when x
+generates the units; otherwise the powers of the smallest generator.
 `powers` reads a run of powers of one element off the exp table.
 `scale_row` takes one `mul` per entry; linalg's EntryRows scales rows with
 it over the fields whose entries do not fit byte lanes (order above 256, or
@@ -17,10 +18,10 @@ characteristic from 131 to 251).
 
 A SubfieldEmbedding of F_t in F_{t^m} is one pair of tables, built with it:
 the image of each element of F_t, and each coordinate of each element of
-F_{t^m} over F_t.  embed, decompose, project and recompose read them;
-callers that want another layout (the subfield oracle's 256-byte translate
-tables) make it from them.  subfield_degree decides which orders t are
-subfield orders, raising FieldError for the others.
+F_{t^m} over F_t.  embed, decompose, project and recompose read them, and
+the subfield oracle maps whole rows through them with linalg.entrywise.
+subfield_degree decides which orders t are subfield orders, raising
+FieldError for the others.
 """
 
 from __future__ import annotations
@@ -29,8 +30,7 @@ from functools import lru_cache, reduce
 from itertools import product
 from operator import xor
 
-MAX_FIELD_ORDER = 1 << 20
-_TABLE_LIMIT = 1 << 16
+MAX_FIELD_ORDER = 1 << 16
 
 
 class FieldError(ValueError):
@@ -177,10 +177,7 @@ class FiniteField:
         self.e = e
         self.order = order
         self.modulus = self._find_modulus(p, e)
-        self._exp = None
-        self._log = None
-        if order <= _TABLE_LIMIT:
-            self._build_tables()
+        self._build_tables()
 
     @staticmethod
     def _find_modulus(p, e):
@@ -256,41 +253,25 @@ class FiniteField:
     def mul(self, a: int, b: int) -> int:
         if a == 0 or b == 0:
             return 0
-        if self._log is not None:
-            return self._exp[(self._log[a] + self._log[b]) % (self.order - 1)]
-        return self._mul_poly(a, b)
+        return self._exp[(self._log[a] + self._log[b]) % (self.order - 1)]
 
     def inv(self, a: int) -> int:
         if a == 0:
             raise ZeroDivisionError("inverse of 0")
-        if self._log is not None:
-            return self._exp[(self.order - 1 - self._log[a]) % (self.order - 1)]
-        return self.pow(a, self.order - 2)
+        return self._exp[(self.order - 1 - self._log[a]) % (self.order - 1)]
 
     def pow(self, a: int, n: int) -> int:
         if n < 0:
             return self.pow(self.inv(a), -n)
         if a == 0:
             return 0 if n else 1
-        if self._log is not None:
-            return self._exp[self._log[a] * n % (self.order - 1)]
-        result = 1
-        while n:
-            if n & 1:
-                result = self._mul_poly(result, a)
-            a = self._mul_poly(a, a)
-            n >>= 1
-        return result
+        return self._exp[self._log[a] * n % (self.order - 1)]
 
     def powers(self, a: int, count: int) -> list:
         """[a^0, a^1, ..., a^{count-1}], read from the exp table at the
-        exponents i log(a) when there is one."""
-        if a == 0 or self._log is None:
-            out, acc = [], 1
-            for _ in range(count):
-                out.append(acc)
-                acc = self.mul(acc, a)
-            return out
+        exponents i log(a)."""
+        if a == 0:
+            return [1] + [0] * (count - 1) if count else []
         exp, period, step = self._exp, self.order - 1, self._log[a]
         return [exp[i * step % period] for i in range(count)]
 
@@ -311,15 +292,17 @@ class FiniteField:
         coefficient moves up one place, and the one that passes degree
         e - 1 comes back as minus itself times the modulus's lower
         coefficients.  Otherwise (e = 1, or x of smaller order) g is the
-        smallest generator, found by search, and exp is stepped by
-        _mul_poly.  The tables differ with g, but mul, inv and pow do not.
+        smallest generator, found by search with _poly_powmod, and exp is
+        stepped by _mul_poly.  The tables differ with g, but mul, inv and
+        pow do not.
         """
-        target = self.order - 1
+        p, target, modulus = self.p, self.order - 1, list(self.modulus)
         exp = self._x_powers() if self.e > 1 else None
         if exp is None:
             factors = _prime_factors(target) if target > 1 else []
             for g in range(1, self.order):
-                if all(self.pow(g, target // f) != 1 for f in factors):
+                if all(_poly_powmod(self.coeffs(g), target // f, modulus, p)
+                       != [1] for f in factors):
                     break
             exp, acc = [], 1
             for _ in range(target):
@@ -420,8 +403,8 @@ class SubfieldEmbedding:
     field's polynomial-basis generator g, which has degree m over F_t, and
     `components[c][x]` is coordinate c of each big-field element x.  Both
     tables are built with the embedding, and every map between the two
-    fields reads them.  They hold t + m t^m entries, so they are meant for
-    the field sizes the codes use, not for the 2^20 cap.
+    fields reads them.  They hold t + m t^m entries, at most 2^20 below
+    the 2^16 order cap.
     """
 
     def __init__(self, small: FiniteField, big: FiniteField):

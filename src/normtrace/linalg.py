@@ -6,7 +6,9 @@ when it is built, with its pivot columns: two codes are equal as sets
 exactly when their stored matrices are equal, and kernel, contains and the
 parity search read the pivots instead of eliminating again.  A code's rows
 are `bytes` over fields of order at most 256 and tuples otherwise (see
-row_type).
+row_type), and entrywise maps every entry of such a row through one
+function: the generators' negatives, Frobenius powers, traces and subfield
+components, and build_code's scalings, all take it.
 
 Every elimination and every codeword sum packs its rows the one way
 row_packing picks from the field: one bit per entry over F_2 (BitRows), one
@@ -603,11 +605,15 @@ def row_type(fld: FiniteField) -> type:
     return bytes if fld.order <= 256 else tuple
 
 
-def scale_rows(c: int, rows, fld: FiniteField, width: int) -> list:
-    """The rows c * row."""
-    packing = row_packing(fld, width)
-    return [packing.unpack(packing.scale(c, packing.pack(row)))
-            for row in rows]
+def entrywise(fld: FiniteField, f):
+    """The map that takes a finished row over fld (row_type) to the row of
+    the same type with each entry x replaced by f(x): one bytes.translate
+    through the 256-byte table of f for bytes rows, one call of f per entry
+    for tuples.  For bytes rows, every f(x) must fit a byte."""
+    if row_type(fld) is tuple:
+        return lambda row: tuple(map(f, row))
+    table = bytes(map(f, fld.elements())).ljust(256, b"\0")
+    return lambda row: row.translate(table)
 
 
 def rref(rows, fld: FiniteField, start: int = 0):
@@ -745,7 +751,7 @@ def parity_check_rows(code: LinearCode) -> list:
     order: for each column c off the pivots, the row that is 1 at c, minus
     generator i's entry at c at pivot i, and 0 elsewhere."""
     fld, n = code.field, code.n
-    negated = scale_rows(fld.neg(1), code.generators, fld, n)
+    negated = list(map(entrywise(fld, fld.neg), code.generators))
     out = []
     for c in sorted(set(range(n)).difference(code.pivots)):
         vec = [0] * n

@@ -212,9 +212,9 @@ class NormalFormTable:
             packing.scale(packing.minus_one, trace)))
 
     def times_x(self, a: int, v):
-        """X-reduced X^a * v: v moved up a m lanes, and the lanes past X^P
+        """X-reduced X^a * v for a canonical X exponent a <= P (as
+        _x_exponent gives): v moved up a m lanes, and the lanes past X^P
         moved down P m lanes and added back, since X^{P+1} = X."""
-        a = _x_exponent(self.curve, a)
         return shift_fold(self.packing, v, a * self.m, self.down) if a else v
 
     def row(self, a: int, b: int):
@@ -222,7 +222,8 @@ class NormalFormTable:
         past the table; no Frobenius power of a footprint monomial
         reaches it."""
         b = _y_exponent(self.curve, b)
-        return self.times_x(a, self.rows[b] if b < len(self.rows) else
+        return self.times_x(_x_exponent(self.curve, a),
+                            self.rows[b] if b < len(self.rows) else
                             self._y_power(b))
 
     def polynomial(self, v) -> SparsePolynomial:

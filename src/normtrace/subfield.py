@@ -10,7 +10,9 @@ Two fully independent routes to the dimension of NT_u(s)|F_t are provided:
   landing inside F_t^n.  Every LinearCode holds its generators in that form,
   the identity on its pivot columns, so only F_t-combinations of its rows
   can land there, and one k x mn elimination over F_t suffices, substituted
-  back only on the rows that give the subcode.
+  back only on the rows that give the subcode.  Each component of a row
+  is one linalg.entrywise map, and the trivial extension t = q^r takes
+  the same path.
 
 The two must always agree; the test suite asserts this on every instance.
 
@@ -34,7 +36,7 @@ from .codes import build_code, dual_weight, footprint_is_basis
 from .curves import CurveSpec
 from .fields import FieldError, SubfieldEmbedding, embedding, \
     subfield_of_order
-from .linalg import LinearCode, row_space_basis, rref, scale_rows
+from .linalg import LinearCode, entrywise, row_space_basis, row_type, rref
 from .monomials import footprint, footprint_weights, monomials_up_to
 from .reduction import _x_exponent, _y_exponent, normal_form_table
 
@@ -43,8 +45,8 @@ def code_frobenius(code: LinearCode, t: int) -> LinearCode:
     """C^(t): coordinatewise t-th power, re-echelonized."""
     fld = code.field
     fld.subfield_degree(t)
-    rows = [[fld.pow(v, t) for v in row] for row in code.generators]
-    return row_space_basis(rows, fld, code.n)
+    power = entrywise(fld, lambda v: fld.pow(v, t))
+    return row_space_basis(map(power, code.generators), fld, code.n)
 
 
 @dataclass(frozen=True)
@@ -202,32 +204,23 @@ def subfield_subcode_oracle(code: LinearCode,
     lies among the first components are zero before it, and their first
     components are the reduced echelon basis of C intersect F_t^n: rref
     with start n(m - 1) gives just these, and substitutes back only them.
+    When m = 1 there are no components past the first, which is the
+    identity, and rref returns the generators as they are.
     """
     if emb.big != code.field:
         raise FieldError("embedding does not target the code's field")
-    small = emb.small
-    m = emb.m
-    n = code.n
-    if m == 1:
-        # Trivial extension: the code already lives over the small field.
-        return LinearCode(small, n, code.generators)
+    small, m, n = emb.small, emb.m, code.n
     width = n * (m - 1)
-    tables = emb.components
-    if code.generators and isinstance(code.generators[0], bytes):
-        # 256 bytes each, so that row.translate(table) reads one component
-        # of every entry of a bytes row.
-        tables = [bytes(comp).ljust(256, b"\0") for comp in tables]
+    first, *rest = (entrywise(code.field, comp.__getitem__)
+                    for comp in emb.components)
+    blank = bytearray if row_type(small) is bytes else \
+        (lambda size: [0] * size)
     expanded = []
     for row in code.generators:
-        if isinstance(row, bytes):
-            first, *rest = (row.translate(table) for table in tables)
-            out = bytearray(width + n)
-        else:
-            first, *rest = (map(table.__getitem__, row) for table in tables)
-            out = [0] * (width + n)
-        for c, part in enumerate(rest):
-            out[c:width:m - 1] = part
-        out[width:] = first
+        out = blank(width + n)
+        for c, component in enumerate(rest):
+            out[c:width:m - 1] = component(row)
+        out[width:] = first(row)
         expanded.append(out)
     return LinearCode(small, n, rref(expanded, small, start=width)[0])
 
@@ -241,9 +234,11 @@ def trace_code(code: LinearCode, emb: SubfieldEmbedding) -> LinearCode:
     t = small.order
     # The generators scaled by each element of the basis of the big field
     # over the small one span C over F_t.
-    rows = [[emb.project(fld.trace_in_field(v, t)) for v in row]
-            for b in emb.basis
-            for row in scale_rows(b, code.generators, fld, code.n)]
+    rows = []
+    for b in emb.basis:
+        trace = entrywise(fld, lambda v: emb.project(
+            fld.trace_in_field(fld.mul(b, v), t)))
+        rows.extend(map(trace, code.generators))
     return row_space_basis(rows, small, code.n)
 
 

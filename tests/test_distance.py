@@ -6,7 +6,7 @@ from itertools import combinations, product
 import pytest
 
 from normtrace.curves import make_curve
-from normtrace.distance import (BudgetExceeded, _columns,
+from normtrace.distance import (BudgetExceeded, DistanceResult, _columns,
                                 _first_dependent_set, _information_sets,
                                 _order_bound_counts,
                                 exact_min_distance_enum,
@@ -600,6 +600,19 @@ def test_zero_code_rejected():
 def test_full_space_distance_one():
     full = row_space_basis([[1, 0], [0, 1]], F2, 2)
     assert exact_min_distance_parity(full).exact == 1
+    # The dual of the full space is zero, so every parity-check column is
+    # the empty vector: over every packing, level 1 finds column 0 with
+    # witness e_0, and with no budget the search raises as for any code.
+    for fld in (F2, F4, make_field(3, 2), make_field(131, 1)):
+        full = row_space_basis([[int(i == j) for j in range(5)]
+                                for i in range(5)], fld, 5)
+        assert exact_min_distance_parity(full) == DistanceResult(
+            None, 1, "column-dependence", (1, 0, 0, 0, 0))
+        with pytest.raises(BudgetExceeded) as info:
+            exact_min_distance_parity(full, budget=0)
+        exc = info.value
+        assert (exc.spent, exc.budget, exc.lower, exc.upper) == \
+            (0, 0, 1, None)
 
 
 def test_subcode_distances():

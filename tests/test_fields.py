@@ -81,9 +81,13 @@ def test_field_tables_match_polynomial_reference(p, e):
         fld, ((a, b) for a in elements for b in elements), elements)
 
 
-@pytest.mark.parametrize("p,e", [(17, 2), (2, 9), (3, 6)], ids=str)
+# Every accepted field has exp/log tables, up to the cap: F_32768, where x
+# generates the units, and F_63001, where the generator is searched for.
+@pytest.mark.parametrize("p,e", [(17, 2), (2, 9), (3, 6), (2, 15), (251, 2)],
+                         ids=str)
 def test_large_field_tables_match_polynomial_reference(p, e):
     fld = make_field(p, e)
+    assert sorted(fld._exp) == list(range(1, fld.order))
     rng = random.Random(p * e)
     pairs = [(rng.randrange(fld.order), rng.randrange(fld.order))
              for _ in range(3000)]
@@ -110,6 +114,9 @@ def test_make_field_rejects_bad_parameters():
         make_field(2, 0)
     with pytest.raises(FieldError):
         make_field(2, 25)  # 2^25 over the order cap
+    for p, e in [(2, 17), (3, 11), (257, 2)]:
+        with pytest.raises(FieldError, match="exceeds cap 65536"):
+            make_field(p, e)
 
 
 def test_multiplicative_group_order():

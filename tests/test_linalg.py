@@ -4,8 +4,9 @@ import pytest
 
 from normtrace.fields import make_field
 from normtrace.linalg import (BitRows, DigitLanes, EntryRows, LaneRows,
-                              LinearCode, kernel, matrix_product_is_zero,
-                              rank, row_packing, row_space_basis, rref)
+                              LinearCode, entrywise, kernel,
+                              matrix_product_is_zero, rank, row_packing,
+                              row_space_basis, row_type, rref)
 
 F2 = make_field(2, 1)
 F4 = make_field(2, 2)
@@ -369,3 +370,23 @@ def test_product_check_matches_per_entry_reference():
             other = [rng.randrange(fld.order) for _ in range(7)]
             assert matrix_product_is_zero([row], [other], fld) == (
                 dot(fld, row, other) == 0)
+
+
+@pytest.mark.parametrize("p,e", [(2, 1), (2, 4), (3, 3), (131, 1), (17, 2),
+                                 (2, 9)], ids=str)
+def test_entrywise_matches_per_entry_map(p, e):
+    """bytes rows over F_2, F_16, F_27 and F_131, tuple rows over F_289
+    and F_512: the map keeps the row type and applies f to every entry."""
+    fld = make_field(p, e)
+    kind = row_type(fld)
+    assert kind is (bytes if fld.order <= 256 else tuple)
+    rng = random.Random(p * e)
+    c = rng.randrange(2, fld.order) if fld.order > 2 else 1
+    maps = [fld.neg, lambda x: fld.mul(c, x), lambda x: fld.pow(x, p),
+            lambda x: x % p]
+    for f in maps:
+        for width in (0, 1, 40):
+            row = kind(rng.randrange(fld.order) for _ in range(width))
+            mapped = entrywise(fld, f)(row)
+            assert type(mapped) is kind
+            assert list(mapped) == [f(x) for x in row]

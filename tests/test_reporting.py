@@ -295,8 +295,10 @@ def test_report_json_matches_asdict():
     ("2 1 -1 2\n", "a -1 x 2 matrix"),
     ("1000000000000000003 1 1 1\n0\n", "exceeds cap"),
     ("3 1000000000 1 1\n0\n", "exceeds cap"),
+    ("2 17 1 1\n0\n", "field order 2^17 exceeds cap 65536"),
 ], ids=["short", "non-numeric", "entry-out-of-range", "non-prime",
-        "degree-zero", "negative-rows", "huge-characteristic", "huge-degree"])
+        "degree-zero", "negative-rows", "huge-characteristic", "huge-degree",
+        "order-above-cap"])
 def test_import_matrix_malformed_header(tmp_path, text, fault):
     path = tmp_path / "m.txt"
     path.write_text(text)
@@ -377,6 +379,34 @@ def test_cli_subfield_rejects_disagreeing_routes(monkeypatch, capsys):
 def test_cli_invalid_parameters(capsys):
     rc = main(["curve", "--p", "2", "--l", "1", "--r", "4", "--u", "7"])
     assert rc == 2
+    # F_{2^17} is past the field-order cap 2^16.
+    capsys.readouterr()
+    rc = main(["curve", "--p", "2", "--l", "1", "--r", "17", "--u", "1"])
+    assert rc == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "field order 2^17 exceeds cap 65536" in err
+
+
+@pytest.mark.parametrize("s", [60, 62])
+def test_cli_bound(s, capsys):
+    """The order bound on NT_5(s) over F_16, and the paper-box variant that
+    overstates it (the exact distance is 3)."""
+    rc = main(["bound", "--p", "2", "--l", "1", "--r", "4", "--u", "5",
+               "--s", str(s), "--json"])
+    assert rc == 0
+    assert json.loads(capsys.readouterr().out) == {
+        "bound": 3, "bound_paper_variant": 4, "s": s}
+
+
+def test_cli_dual(capsys):
+    rc = main(["dual", "--p", "3", "--l", "1", "--r", "3", "--u", "13",
+               "--s", "100", "--json"])
+    assert rc == 0
+    data = json.loads(capsys.readouterr().out)
+    assert (data["dual_weight"], data["dim_s"], data["dim_dual"],
+            data["printed_formula"]) == (237, 53, 190, 111)
+    assert data["ok"] is True
 
 
 def test_cli_budget_exit(capsys):
