@@ -223,7 +223,7 @@ class _Enumeration:
                         return True
             return False
 
-        return walk(packing.zero, 0, 0, 0)
+        return walk(0, 0, 0, 0)
 
     def _leaves(self, s, tail: list) -> bool:
         """Visit the words s + t for t in tail, which is never empty."""
@@ -305,7 +305,7 @@ def _first_dependent_set(cols, w, fld, spent, budget):
     """
     packing = row_packing(fld, len(cols[0]))
     cols = [packing.pack(c) for c in cols]
-    zero, eliminate, monic = packing.zero, packing.eliminate, packing.monic
+    eliminate, monic = packing.eliminate, packing.monic
 
     def exceeded():
         return BudgetExceeded(
@@ -324,7 +324,7 @@ def _first_dependent_set(cols, w, fld, spent, budget):
         # The first candidate that is zero or has a dependent leaf: a zero
         # column is a dependent leaf under every candidate before it.
         first = size - 1
-        if zero in reduced:
+        if 0 in reduced:
             first = 0
         else:
             keys = list(map(monic, reduced))
@@ -344,12 +344,12 @@ def _first_dependent_set(cols, w, fld, spent, budget):
             raise exceeded()
         spent += 1
         v = reduced[first]
-        if v == zero:
+        if not v:
             raise AssertionError(
                 f"a set of {w - 1} columns is dependent at level {w}")
         key = monic(v)
         k = next(j for j in range(first + 1, size)
-                 if reduced[j] == zero or monic(reduced[j]) == key)
+                 if not reduced[j] or monic(reduced[j]) == key)
         if k - first > budget - spent:
             spent = budget
             raise exceeded()
@@ -366,7 +366,7 @@ def _first_dependent_set(cols, w, fld, spent, budget):
                 raise exceeded()
             spent += 1
             v = reduced[i]
-            if v == zero:
+            if not v:
                 raise AssertionError(
                     f"a set of {depth + 1} columns is dependent at level {w}")
             found = search(start + i + 1, eliminate(v, reduced[i + 1:]),
@@ -380,7 +380,7 @@ def _first_dependent_set(cols, w, fld, spent, budget):
     # Level 1: the leaves are the columns themselves.
     room = budget - spent
     try:
-        i = cols.index(zero, 0, room)
+        i = cols.index(0, 0, room)
     except ValueError:
         if len(cols) > room:
             spent = budget

@@ -11,10 +11,10 @@ coefficients.  The exp table holds the powers of x, the polynomial-basis
 element, stepped by the F_p-linear map "times x" (a shift of the
 coefficients, then the top one times the modulus taken off), when x
 generates the units; otherwise the powers of the smallest generator.
-`powers` reads a run of powers of one element off the exp table.
-`scale_row` takes one `mul` per entry; linalg's EntryRows scales rows with
-it over the fields whose entries do not fit byte lanes (order above 256, or
-characteristic from 131 to 251).
+`powers` reads a run of powers of one element off the exp table.  Every
+field under the cap builds, whatever its characteristic; linalg packs the
+rows of those with p <= 127 for elimination, and raises FieldError for
+the others (linalg.row_packing).
 
 A SubfieldEmbedding of F_t in F_{t^m} is one pair of tables, built with it:
 the image of each element of F_t, and each coordinate of each element of
@@ -277,10 +277,6 @@ class FiniteField:
 
     def elements(self):
         return range(self.order)
-
-    def scale_row(self, c: int, row) -> list:
-        """The row c * row."""
-        return [self.mul(c, v) for v in row]
 
     # -- discrete-log tables --
 

@@ -190,11 +190,7 @@ class NormalFormTable:
         self.m = curve.weight_x
         self.down = curve.u * (curve.q - 1) * self.m
         self.packing = packing = row_packing(make_field(curve.p, 1), curve.n)
-        self.rows = []
-        for b in range(self.m):
-            unit = [0] * curve.n
-            unit[b] = 1
-            self.rows.append(packing.pack(unit))
+        self.rows = [1 << b * packing.bits for b in range(self.m)]  # Y^b
         for b in range(self.m, curve.q**curve.r - 1):
             self.rows.append(self._y_power(b))
         self.rows = tuple(self.rows)
@@ -204,7 +200,7 @@ class NormalFormTable:
         Y^b -> X^u Y^{b-m} - sum_{k<r-1} Y^{b-m+q^k}."""
         curve, packing, rows = self.curve, self.packing, self.rows
         low = b - self.m
-        trace = packing.zero
+        trace = 0
         for k in range(curve.r - 1):
             trace = packing.reduce(packing.add(trace, rows[low + curve.q**k]))
         return packing.reduce(packing.add(
@@ -232,22 +228,14 @@ class NormalFormTable:
             divmod(lane, self.m): c
             for lane, c in enumerate(self.packing.unpack(v)) if c})
 
-    def lane_mask(self, monos):
-        """The lanes of the given monomials, as `meets` reads them: an int
-        with every bit of those lanes set, or a list of 0/1 for list rows."""
+    def lane_mask(self, monos) -> int:
+        """The lanes of the given monomials: an int with every bit of those
+        lanes set, so that a row v is nonzero in one of them exactly when
+        v & mask is nonzero."""
         marks = [0] * self.curve.n
         for i, j in monos:
             marks[i * self.m + j] = 1
-        if self.packing.bits is None:
-            return marks
         return self.packing.pack(marks) * ((1 << self.packing.bits) - 1)
-
-    @staticmethod
-    def meets(v, mask) -> bool:
-        """Whether the row v is nonzero in a lane of mask."""
-        if isinstance(v, list):
-            return any(c for c, inside in zip(v, mask) if inside)
-        return bool(v & mask)
 
 
 @lru_cache(maxsize=None)

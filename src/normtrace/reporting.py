@@ -255,8 +255,9 @@ def export_matrix(code: LinearCode, path) -> None:
 def import_matrix(path) -> LinearCode:
     """Inverse of export_matrix; re-canonicalizes and validates entries.
 
-    A file that is not such a matrix raises CacheError naming the file and
-    the fault.
+    A file that is not such a matrix, or one over a field whose rows have
+    no packing (characteristic above 127), raises CacheError naming the
+    file and the fault.
     """
     tokens = Path(path).read_text().split()
     try:
@@ -273,10 +274,10 @@ def import_matrix(path) -> LinearCode:
                              f"got {len(vals)}")
         for v in vals:
             fld.check(v)
+        code = row_space_basis([vals[i * cols:(i + 1) * cols]
+                                for i in range(rows)], fld, cols)
     except FieldError as exc:
         raise CacheError(f"{path}: {exc}") from None
-    mat = [vals[i * cols:(i + 1) * cols] for i in range(rows)]
-    code = row_space_basis(mat, fld, cols)
     if code.k != rows:
         raise CacheError(f"{path}: imported rows are not independent")
     return code

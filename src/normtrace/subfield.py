@@ -143,8 +143,8 @@ class _TracePass:
         """1 if the row v is independent of the rows before it, and then it
         joins the basis; else 0."""
         packing, basis = self.table.packing, self.basis
-        zero, lead, sweep = packing.zero, packing.lead, packing.sweep
-        while v != zero:
+        lead, sweep = packing.lead, packing.sweep
+        while v:
             col = lead(v)
             minus = basis.get(col)
             if minus is None:
@@ -261,7 +261,7 @@ def is_frobenius_invariant(curve: CurveSpec, s: int,
     inside = monomials_up_to(curve, s)
     outside = table.lane_mask(footprint(curve)[len(inside):])
     for i, j in sorted(inside):
-        if table.meets(table.row(i * t, j * t), outside):
+        if table.row(i * t, j * t) & outside:
             return FrobeniusInvariance(False, (i, j))
     return FrobeniusInvariance(True, None)
 

@@ -45,8 +45,8 @@ def test_dimension_counts_weights():
 
 
 # A curve over each of F_4, F_9, F_16, F_25, F_27 and F_64 (rows as bytes,
-# one translate per fiber) and over F_512 (rows as lists, scale_row per
-# fiber).
+# one translate per fiber) and over F_512 (rows as tuples, one call per
+# entry of a fiber).
 EVALUATION_CURVES = [(2, 1, 2, 3), (3, 1, 2, 4), (2, 2, 2, 5), (5, 1, 2, 6),
                      (3, 1, 3, 13), (2, 1, 6, 3), (2, 3, 3, 1)]
 

@@ -26,6 +26,11 @@ F4 = make_field(2, 2)
 F16 = make_field(2, 4)
 
 
+def scale_row(fld, c, row):
+    """The row c * row, one field product per entry."""
+    return [fld.mul(c, v) for v in row]
+
+
 def random_code(rng, fld, n, k):
     rows = [[rng.randrange(fld.order) for _ in range(n)] for _ in range(k)]
     return row_space_basis(rows, fld, n)
@@ -199,8 +204,9 @@ def exhaustive_projective_distance(code):
                for tail in product(range(q), repeat=k - 1 - i))
 
 
-# Fields whose rows are lists of entries (linalg.EntryRows).
-ENTRY_FIELDS = [(131, 1), (2, 9), (3, 6)]
+# Fields of order above 256: F_512 and F_1024 in 16-bit lanes, F_289 and
+# F_729 in DigitLanes with more elements than a byte holds.
+LARGE_FIELDS = [(2, 9), (2, 10), (17, 2), (3, 6)]
 
 
 def distance_test_codes(rng, fld):
@@ -235,9 +241,9 @@ def test_oracles_agree_on_random_codes():
     cases = [(c, exhaustive_distance)
              for p, e in [(2, 1), (3, 1), (2, 2), (5, 1), (3, 2), (2, 4)]
              for c in distance_test_codes(rng, make_field(p, e))]
-    # Codes of length at most 6 and dimension at most 2 over the fields
-    # whose rows are lists of entries.
-    for p, e in ENTRY_FIELDS:
+    # Codes of length at most 6 and dimension at most 2 over the fields of
+    # order above 256.
+    for p, e in LARGE_FIELDS:
         for _ in range(6):
             n = rng.randrange(2, 7)
             cases.append((random_code(rng, make_field(p, e), n,
@@ -373,11 +379,11 @@ def first_dependent_set_bruteforce(code):
 def test_parity_first_dependent_set_matches_bruteforce():
     rng = random.Random(97)
     for p, e in [(2, 1), (3, 1), (2, 2), (5, 1), (3, 2), (2, 4)] + \
-            ENTRY_FIELDS:
+            LARGE_FIELDS:
         fld = make_field(p, e)
         codes = []
         for _ in range(4):
-            if (p, e) in ENTRY_FIELDS:  # length at most 6, k at most 2
+            if (p, e) in LARGE_FIELDS:  # length at most 6, k at most 2
                 n = rng.randrange(3, 7)
                 codes.append(random_code(rng, fld, n, rng.randrange(1, 3)))
             else:
@@ -392,7 +398,7 @@ def test_parity_first_dependent_set_matches_bruteforce():
             if not any(col):
                 col[0] = 1
         c = rng.randrange(1, fld.order)
-        for j, col in [(5, [0] * 4), (7, fld.scale_row(c, hcols[2]))]:
+        for j, col in [(5, [0] * 4), (7, scale_row(fld, c, hcols[2]))]:
             shaped = hcols[:j] + [col] + hcols[j + 1:]
             codes.append(kernel(row_space_basis(zip(*shaped), fld, n)))
         codes.append(row_space_basis(
@@ -416,7 +422,7 @@ def first_dependent_set_by_elimination(cols, w, fld, spent, budget):
     and a leaf is dependent when it reduces to zero."""
     packing = row_packing(fld, len(cols[0]))
     cols = [packing.pack(c) for c in cols]
-    zero, eliminate = packing.zero, packing.eliminate
+    eliminate = packing.eliminate
 
     def exceeded():
         return BudgetExceeded(
@@ -429,7 +435,7 @@ def first_dependent_set_by_elimination(cols, w, fld, spent, budget):
         if depth == w - 1:
             room = budget - spent
             try:
-                i = reduced.index(zero, 0, room)
+                i = reduced.index(0, 0, room)
             except ValueError:
                 if len(reduced) > room:
                     spent = budget
@@ -443,7 +449,7 @@ def first_dependent_set_by_elimination(cols, w, fld, spent, budget):
                 raise exceeded()
             spent += 1
             v = reduced[i]
-            if v == zero:
+            if not v:
                 raise AssertionError(
                     f"a set of {depth + 1} columns is dependent at level {w}")
             found = search(start + i + 1, eliminate(v, reduced[i + 1:]),
@@ -478,12 +484,12 @@ def shaped_columns(rng, fld, n):
         yield cols[:j] + [[0] * 4] + cols[j + 1:]
     for i, j in ((0, 1), (2, 7)):
         c = rng.randrange(1, q)
-        yield cols[:j] + [fld.scale_row(c, cols[i])] + cols[j + 1:]
+        yield cols[:j] + [scale_row(fld, c, cols[i])] + cols[j + 1:]
 
 
 # F_2 in bits, F_4 and F_16 in byte lanes, F_3 and F_9 in digit lanes, and
-# F_131 and F_512 as lists of entries.
-LOOKUP_FIELDS = [(2, 1), (3, 1), (2, 2), (3, 2), (2, 4), (131, 1), (2, 9)]
+# the fields of order above 256.
+LOOKUP_FIELDS = [(2, 1), (3, 1), (2, 2), (3, 2), (2, 4), *LARGE_FIELDS]
 
 
 def test_last_level_lookup_matches_elimination_on_codes():
@@ -603,7 +609,8 @@ def test_full_space_distance_one():
     # The dual of the full space is zero, so every parity-check column is
     # the empty vector: over every packing, level 1 finds column 0 with
     # witness e_0, and with no budget the search raises as for any code.
-    for fld in (F2, F4, make_field(3, 2), make_field(131, 1)):
+    for fld in (F2, F4, make_field(3, 2),
+                *(make_field(p, e) for p, e in LARGE_FIELDS)):
         full = row_space_basis([[int(i == j) for j in range(5)]
                                 for i in range(5)], fld, 5)
         assert exact_min_distance_parity(full) == DistanceResult(

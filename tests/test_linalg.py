@@ -2,8 +2,8 @@ import random
 
 import pytest
 
-from normtrace.fields import make_field
-from normtrace.linalg import (BitRows, DigitLanes, EntryRows, LaneRows,
+from normtrace.fields import FieldError, make_field
+from normtrace.linalg import (BitRows, DigitLanes, LaneRows,
                               LinearCode, entrywise, kernel,
                               matrix_product_is_zero, rank, row_packing,
                               row_space_basis, row_type, rref)
@@ -11,6 +11,11 @@ from normtrace.linalg import (BitRows, DigitLanes, EntryRows, LaneRows,
 F2 = make_field(2, 1)
 F4 = make_field(2, 2)
 F16 = make_field(2, 4)
+
+
+def scale_row(fld, c, row):
+    """The row c * row, one field product per entry."""
+    return [fld.mul(c, v) for v in row]
 
 
 def random_code(rng, fld, n, k):
@@ -43,7 +48,7 @@ def test_row_space_examples():
      "nonzero at the leading column of another"),
 ], ids=str)
 def test_linear_code_rejects_rows_not_in_echelon_form(rows, fault):
-    for fld in (make_field(5, 1), make_field(131, 1)):  # bytes and tuples
+    for fld in (make_field(5, 1), make_field(2, 9)):  # bytes and tuples
         with pytest.raises(ValueError, match=fault):
             LinearCode(fld, 3, rows)
 
@@ -70,7 +75,7 @@ def dot(fld, a, b):
 def test_kernel_dimensions_and_orthogonality():
     rng = random.Random(47)
     for fld in (F2, F4, F16, make_field(3, 1), make_field(5, 2),
-                make_field(131, 1)):
+                make_field(127, 1), make_field(2, 10), make_field(17, 2)):
         for _ in range(10):
             c = random_code(rng, fld, 10, 4)
             dual = kernel(c)
@@ -120,16 +125,18 @@ def reference_rref(rows, fld):
     return rows[:rank], pivots
 
 
-# The packing each test field gets: bits over F_2, byte lanes over the
-# other fields of order up to 256 with p <= 127, lists of entries above.
-PACKING = {(2, 1): BitRows, **{(2, e): LaneRows for e in range(2, 9)},
+# The packing each test field gets: bits over F_2, 8-bit lanes over F_4
+# ... F_256 and 16-bit lanes over F_512 ... F_{2^16}, byte lanes per digit
+# over the odd fields with p <= 127, up to F_{3^10}, the largest order of
+# characteristic 3 below the 2^16 cap.
+PACKING = {(2, 1): BitRows, **{(2, e): LaneRows for e in (*range(2, 11), 16)},
            **{(p, e): DigitLanes for p, e in [
                (3, 1), (5, 1), (7, 1), (3, 2), (5, 2), (3, 3), (7, 2),
-               (11, 2), (5, 3), (3, 5), (127, 1)]},
-           (131, 1): EntryRows, (2, 9): EntryRows, (3, 6): EntryRows}
+               (11, 2), (5, 3), (3, 5), (127, 1), (3, 6), (17, 2),
+               (3, 10)]}}
 
 KERNEL_FIELDS = [(2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2), (5, 2),
-                 (3, 3), (3, 6), (131, 1)]
+                 (3, 3), (3, 6), (2, 10), (2, 16), (17, 2), (3, 10)]
 
 
 def kernel_matrices(rng, fld):
@@ -145,7 +152,7 @@ def kernel_matrices(rng, fld):
     yield rand(3, 11)  # wide
     yield rand(6, 6, density=0.3)
     yield [low_rank[i % 2] for i in range(5)] + rand(1, 7)
-    yield [fld.scale_row(rng.randrange(fld.order), low_rank[0])
+    yield [scale_row(fld, rng.randrange(fld.order), low_rank[0])
            for _ in range(4)]
 
 
@@ -161,46 +168,71 @@ def test_rref_matches_per_entry_reference():
 
 
 def test_square_full_rank_entry_rows_match_reference():
-    """A square full-rank matrix over F_289, as the Newton rows of the
-    (17,1,2,1) curve give one: forward elimination leaves a triangle, and
-    back substitution clears every entry above the diagonal, with unit
+    """A square full-rank matrix over F_289, F_512, F_729 and F_1024, the
+    fields of the (17,1,2,1), (2,3,3,1), (3,1,6,1) and (2,1,10,1) curves,
+    as their Newton rows give one: forward elimination leaves a triangle,
+    and back substitution clears every entry above the diagonal, with unit
     rows below.  Also a triangle whose finished rows are dense."""
-    fld = make_field(17, 2)
-    assert type(row_packing(fld, 30)) is EntryRows
-    rng = random.Random(289)
-    rows = [[rng.randrange(fld.order) for _ in range(30)] for _ in range(30)]
-    expect = reference_rref(rows, fld)
-    assert expect[1] == list(range(30))
-    assert rref(rows, fld) == expect
-    upper = [[0] * i + [rng.randrange(1, fld.order)] +
-             [rng.randrange(fld.order) for _ in range(29 - i)]
-             for i in range(30)]
-    assert rref(upper, fld) == reference_rref(upper, fld)
-    rows, expect = triangle(fld, 20, rng.randrange(2, fld.order), 10)
-    assert rref(rows, fld) == expect == reference_rref(rows, fld)
+    for p, e in [(17, 2), (2, 9), (3, 6), (2, 10)]:
+        fld = make_field(p, e)
+        assert type(row_packing(fld, 30)) is PACKING[p, e]
+        rng = random.Random(fld.order)
+        rows = [[rng.randrange(fld.order) for _ in range(30)]
+                for _ in range(30)]
+        expect = reference_rref(rows, fld)
+        assert expect[1] == list(range(30))
+        assert rref(rows, fld) == expect
+        upper = [[0] * i + [rng.randrange(1, fld.order)] +
+                 [rng.randrange(fld.order) for _ in range(29 - i)]
+                 for i in range(30)]
+        assert rref(upper, fld) == reference_rref(upper, fld)
+        rows, expect = triangle(fld, 20, rng.randrange(2, fld.order), 10)
+        assert rref(rows, fld) == expect == reference_rref(rows, fld)
 
 
-# Every packing: F_2 in BitRows, F_4 ... F_256 in LaneRows, F_3 ... F_243
-# in DigitLanes with one to five digits per entry and p up to 127, and
-# F_131, F_512 and F_729 in EntryRows.
+@pytest.mark.parametrize("p,e", [(131, 1), (251, 2)], ids=str)
+def test_no_packing_above_characteristic_127(p, e):
+    """Two reduced digits of F_131 or F_{251^2} can pass 255 in a byte
+    lane: row_packing, and so rref, raise FieldError naming p.  The field
+    itself still builds."""
+    fld = make_field(p, e)
+    assert fld.mul(2, fld.inv(2)) == 1
+    with pytest.raises(FieldError, match=f"characteristic {p} "):
+        row_packing(fld, 4)
+    with pytest.raises(FieldError, match=f"characteristic {p} "):
+        rref([[1, 2, 3]], fld)
+
+
+# Every packing: F_2 in BitRows, F_4 ... F_{2^16} in LaneRows of both lane
+# widths, and F_3 ... F_{3^10} in DigitLanes with one to ten digits per
+# entry and p up to 127.
 LANE_FIELDS = [make_field(p, e) for p, e in PACKING]
+
+
+def some_elements(rng, fld):
+    """Every element of a field of order at most 1024; else 0, 1, -1, the
+    powers of x and 256 random elements."""
+    if fld.order <= 1024:
+        return list(fld.elements())
+    return sorted({0, 1, fld.order - 1, *fld.powers(fld.p, fld.e),
+                   *(rng.randrange(fld.order) for _ in range(256))})
 
 
 @pytest.mark.parametrize("fld", LANE_FIELDS, ids=repr)
 def test_lane_multiples_match_field_products(fld):
-    row = list(fld.elements())
+    rng = random.Random(fld.order)
+    row = some_elements(rng, fld)
     packing = row_packing(fld, len(row))
     assert type(packing) is PACKING[fld.p, fld.e]
     v = packing.pack(row)
     assert packing.unpack(v) == row
     # Every product of the map, and each one alone.
     times = packing.multiples(v)
-    for c in fld.elements():
+    for c in some_elements(rng, fld):
         assert packing.unpack(times[packing.key(c)]) == \
             packing.unpack(packing.scale(c, v)) == [fld.mul(c, v)
                                                     for v in row]
     # Sums and weights: row plus a random row, plus -row and plus zero.
-    rng = random.Random(fld.order)
     others = [[rng.randrange(fld.order) for _ in row],
               [fld.neg(v) for v in row], [0] * len(row)]
     words = [packing.pack(other) for other in others]
@@ -231,7 +263,8 @@ def test_monic_matches_per_entry_scaling(fld):
                                            for x in row]
             # Every nonzero multiple of the row has the same key.
             c = rng.randrange(1, fld.order)
-            assert packing.monic(packing.pack(fld.scale_row(c, row))) == key
+            assert packing.monic(packing.pack(scale_row(fld, c, row))) == \
+                key
             hash(key)
 
 
@@ -244,11 +277,11 @@ def lane_matrices(rng, fld, width):
     yield rand(5)
     yield rand(12, density=0.3)
     # Leading entries other than 1, so each pivot row needs an inverse.
-    yield [fld.scale_row(rng.randrange(2, fld.order) if fld.order > 2
-                         else 1, row) for row in rand(6)]
+    yield [scale_row(fld, rng.randrange(2, fld.order) if fld.order > 2
+                     else 1, row) for row in rand(6)]
     # Duplicate and scaled copies of three rows, and a zero row.
     yield [base[i % 3] for i in range(7)] + \
-        [fld.scale_row(rng.randrange(1, fld.order), base[1]), [0] * width]
+        [scale_row(fld, rng.randrange(1, fld.order), base[1]), [0] * width]
     # Zero columns before and between the pivots.
     yield [[0] * (width // 2) + row[width // 2:] for row in rand(4, 0.5)]
 

@@ -296,9 +296,11 @@ def test_report_json_matches_asdict():
     ("1000000000000000003 1 1 1\n0\n", "exceeds cap"),
     ("3 1000000000 1 1\n0\n", "exceeds cap"),
     ("2 17 1 1\n0\n", "field order 2^17 exceeds cap 65536"),
+    # F_131 builds, but its rows have no packing to eliminate them in.
+    ("131 1 1 2\n1 5\n", "characteristic 131 is above 127"),
 ], ids=["short", "non-numeric", "entry-out-of-range", "non-prime",
         "degree-zero", "negative-rows", "huge-characteristic", "huge-degree",
-        "order-above-cap"])
+        "order-above-cap", "characteristic-above-127"])
 def test_import_matrix_malformed_header(tmp_path, text, fault):
     path = tmp_path / "m.txt"
     path.write_text(text)
@@ -386,6 +388,18 @@ def test_cli_invalid_parameters(capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert "field order 2^17 exceeds cap 65536" in err
+
+
+def test_cli_characteristic_above_127(capsys):
+    """The curve over F_{131^2} builds and `curve` reports it, but its rows
+    have no packing: `subfield` exits 2, naming the characteristic."""
+    args = ["--p", "131", "--l", "1", "--r", "2", "--u", "1"]
+    assert main(["curve", *args, "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["n"] == 131 ** 2
+    assert main(["subfield", *args, "--s", "100", "--t", "131"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "invalid parameters: characteristic 131 is above 127" in err
 
 
 @pytest.mark.parametrize("s", [60, 62])
