@@ -32,7 +32,7 @@ for i, j in [(4, 0), (0, 8), (8, 0)]:
 
 s = 36
 built = build_code(curve, s)
-print(f"\nNT_3({s}): [{built.code.n}, {built.k}] over F_16")
+print(f"\nNT_3({s}): [{built.n}, {built.k}] over F_16")
 print(f"  monomials of weight <= 8: {monomials_up_to(curve, 8)}")
 print(f"  weight of X^2Y^3: {weight(curve, (2, 3))}")
 

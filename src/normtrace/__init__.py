@@ -2,8 +2,7 @@
 trace codes, with exact minimum-distance verification."""
 
 from .curves import CurveSpec, enumerate_points, make_curve
-from .codes import EntCode, affine_variety_code, build_code, check_duality, \
-    dual_weight
+from .codes import affine_variety_code, build_code, check_duality, dual_weight
 from .distance import DistanceResult, exact_min_distance_enum, \
     exact_min_distance_parity, geil_bound, is_even_weight
 from .fields import FiniteField, SubfieldEmbedding, embedding, make_field, \

@@ -179,7 +179,7 @@ def _run(args) -> int:
         if args.t is not None:
             code = subfield_subcode_of_ent(c, args.s, args.t)
         else:
-            code = build_code(c, args.s).code
+            code = build_code(c, args.s)
         export_matrix(code, args.out)
         print(f"wrote {code.k} x {code.n} matrix to {args.out}")
     return EXIT_OK

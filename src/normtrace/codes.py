@@ -21,13 +21,15 @@ y^b per trace value and the twist read once per value (_power_sum_table).
 
 Footprint monomials evaluate to a basis of the functions on the points,
 so each dimension is a count of monomials.  footprint_is_basis proves this
-once per curve without an elimination: with the points sorted by x into
-fibers, the n x n evaluation matrix of the footprint is a Kronecker product
-of Vandermonde matrices times a block diagonal of Vandermonde matrices.
-build_code still checks the rank of every code whose generators it builds.
+once per curve without an elimination: with the points grouped by x into
+fibers (curves.fibers), the n x n evaluation matrix of the footprint is a
+Kronecker product of Vandermonde matrices times a block diagonal of
+Vandermonde matrices.  build_code still checks the rank of every code
+whose generators it builds.
 
-build_code evaluates Newton rows fiber by fiber: the points are sorted by
-x into fibers with distinct x's x_0, x_1, ..., and X^i Y^j gives the row of
+build_code returns the LinearCode NT_u(s).  It evaluates Newton rows fiber
+by fiber: the points, in order, are grouped by x into the fibers of
+curves.fibers, with distinct x's x_0, x_1, ..., and X^i Y^j gives the row of
 pi_i(x) y^j, pi_i(x) = prod_{c<i} (x - x_c), which is pi_i(x) times each
 fiber's y^j, one scaling per fiber, each a linalg.entrywise map.  Row
 (i, j) vanishes on fibers 0 .. i-1, so the rows come to rref
@@ -39,9 +41,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache, partial
-from itertools import accumulate, chain, groupby
+from itertools import accumulate, chain
 
-from .curves import CurveSpec, enumerate_points
+from .curves import CurveSpec, fibers
 from .fields import field_sum
 from .linalg import LinearCode, entrywise, row_space_basis, row_type
 from .monomials import footprint, monomials_up_to
@@ -53,7 +55,7 @@ def _monomial_rows(curve: CurveSpec, monos) -> list:
     pi_i(x) y^j at the points, where pi_i(x) = prod_{c<i} (x - x_c) over
     the first i distinct x's x_0, x_1, ... in point order.
 
-    The points are sorted by x into fibers, so pi_i vanishes on fibers
+    The points are grouped by x into fibers, so pi_i vanishes on fibers
     0 .. i-1, and the row of X^i Y^j is, fiber by fiber, pi_i(x) times that
     fiber's slice of the row of y^j over all the points: one scaling per
     fiber.  The row of y^j and each fiber's scaling are one entrywise map,
@@ -61,18 +63,17 @@ def _monomial_rows(curve: CurveSpec, monos) -> list:
     """
     fld = curve.field
     kind = row_type(fld)
-    xs, ys = zip(*enumerate_points(curve))
-    ys = kind(ys)
-    fibers = [(x, len(list(group))) for x, group in groupby(xs)]
-    bounds = list(accumulate((size for _, size in fibers), initial=0))
+    groups = fibers(curve)
+    xs = list(groups)
+    ys = kind(chain.from_iterable(groups.values()))
+    bounds = list(accumulate(map(len, groups.values()), initial=0))
     wanted = {i for i, _ in monos}
-    newton, pi = {}, [1] * len(fibers)  # i -> pi_i at each fiber's x
+    newton, pi = {}, [1] * len(xs)  # i -> pi_i at each fiber's x
     for i in range(max(wanted, default=-1) + 1):
         if i in wanted:
             newton[i] = pi
-        if i < len(fibers):  # pi_{i+1} = pi_i (x - x_i); past that, zero
-            pi = [fld.mul(v, fld.sub(x, fibers[i][0]))
-                  for v, (x, _) in zip(pi, fibers)]
+        if i < len(xs):  # pi_{i+1} = pi_i (x - x_i); past that, zero
+            pi = [fld.mul(v, fld.sub(x, xs[i])) for v, x in zip(pi, xs)]
     scalings = {c: entrywise(fld, partial(fld.mul, c))
                 for c in {c for row in newton.values() for c in row}}
     yfibers = {}
@@ -83,14 +84,6 @@ def _monomial_rows(curve: CurveSpec, monos) -> list:
         (lambda parts: list(chain.from_iterable(parts)))
     return [join(scalings[c](part) for c, part in zip(newton[i], yfibers[j]))
             for i, j in monos]
-
-
-def _fibers(curve: CurveSpec) -> dict:
-    """x -> the list of y with (x, y) a point, in point order."""
-    fibers = {}
-    for x, y in enumerate_points(curve):
-        fibers.setdefault(x, []).append(y)
-    return fibers
 
 
 @lru_cache(maxsize=None)
@@ -111,13 +104,13 @@ def footprint_is_basis(curve: CurveSpec) -> bool:
     """
     m = curve.weight_x
     height = curve.u * (curve.q - 1) + 1
-    fibers = _fibers(curve)
+    groups = fibers(curve)
     faults = []
-    if len(fibers) != height:
-        faults.append(f"{len(fibers)} fibers, expected {height}")
+    if len(groups) != height:
+        faults.append(f"{len(groups)} fibers, expected {height}")
     faults.extend(f"fiber x={x} holds {len(set(ys))} distinct of {len(ys)} "
                   f"y's, expected {m}"
-                  for x, ys in fibers.items()
+                  for x, ys in groups.items()
                   if not len(set(ys)) == len(ys) == m)
     monos = footprint(curve)
     box = {(i, j) for i in range(height) for j in range(m)}
@@ -136,28 +129,11 @@ def affine_variety_code(points, polys, fld) -> LinearCode:
     return row_space_basis(rows, fld, n=len(points))
 
 
-@dataclass(frozen=True)
-class EntCode:
-    """NT_u(s): the weight-s evaluation code on the curve."""
-
-    curve: CurveSpec
-    s: int
-    monomials: tuple
-    code: LinearCode
-
-    @property
-    def n(self) -> int:
-        return self.code.n
-
-    @property
-    def k(self) -> int:
-        return self.code.k
-
-
 @lru_cache(maxsize=None)
-def build_code(curve: CurveSpec, s: int) -> EntCode:
-    """NT_u(s): the span of the evaluations of the footprint monomials of
-    weight <= s at the curve points, in canonical reduced echelon form.
+def build_code(curve: CurveSpec, s: int) -> LinearCode:
+    """NT_u(s) as a LinearCode: the span of the evaluations of the footprint
+    monomials of weight <= s at the curve points, in canonical reduced
+    echelon form.
 
     The rows eliminated are the Newton rows pi_i(x) y^j (_monomial_rows),
     which span the same code: X^i Y^j has weight i q^{r-1} + j u, so for
@@ -173,7 +149,7 @@ def build_code(curve: CurveSpec, s: int) -> EntCode:
     if code.k != len(monos):
         raise AssertionError(
             f"footprint evaluations are dependent: {code.k} != {len(monos)}")
-    return EntCode(curve, s, monos, code)
+    return code
 
 
 def dual_weight(curve: CurveSpec, s: int) -> int:
@@ -243,7 +219,7 @@ def _power_sum_table(curve: CurveSpec) -> tuple:
     q, u = curve.q, curve.u
     top = 2 * (q ** (curve.r - 1) - 1)
     classes = {}  # c -> (v_c, Y_c(0 .. top))
-    for x, ys in _fibers(curve).items():
+    for x, ys in fibers(curve).items():
         c = fld.pow(x, u)
         if c not in classes:
             classes[c] = (_duality_twist(curve, x), [

@@ -4,12 +4,19 @@ The curve with parameters (p, l, r, u) lives over F_{q^r} with q = p^l and
 is cut out by x^u = Tr_{F_{q^r}/F_q}(y).  We only handle the restricted
 family where u divides (q^r - 1)/(q - 1), which has exactly
 n = q^{r-1} (u(q-1) + 1) affine rational points.
+
+The points are read x by x from the classes of y by trace: (x, y) is a
+point exactly when Tr(y) = x^u.  fibers groups them by x, and it is the one
+fiber map of a curve: the Newton rows of build_code, footprint_is_basis and
+the power-sum table of check_duality all read it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from itertools import groupby
+from operator import itemgetter
 
 from .fields import FieldError, FiniteField, make_field
 
@@ -88,20 +95,25 @@ def enumerate_points(curve: CurveSpec) -> tuple:
     """All affine points (x, y) with x^u = Tr(y), in lexicographic order.
 
     Order is lexicographic by the integer encodings of (x, y); every code
-    built on the curve inherits this coordinate order.
+    built on the curve inherits this coordinate order.  The y's are
+    grouped by trace, ascending, and each x in turn takes the class of
+    Tr(y) = x^u, so the points come out in order as they are read.
     """
     fld = curve.field
-    q, u = curve.q, curve.u
-    # Group x by the value of x^u, then match against Tr(y) per y.
-    roots: dict[int, list[int]] = {}
-    for x in fld.elements():
-        roots.setdefault(fld.pow(x, u), []).append(x)
-    points = []
+    classes: dict[int, list[int]] = {}
     for y in fld.elements():
-        for x in roots.get(fld.trace_in_field(y, q), ()):
-            points.append((x, y))
-    points.sort()
+        classes.setdefault(fld.trace_in_field(y, curve.q), []).append(y)
+    points = tuple((x, y) for x in fld.elements()
+                   for y in classes.get(fld.pow(x, curve.u), ()))
     if len(points) != curve.n:
         raise CurveError(
             f"enumerated {len(points)} points, expected n={curve.n}")
-    return tuple(points)
+    return points
+
+
+@lru_cache(maxsize=None)
+def fibers(curve: CurveSpec) -> dict:
+    """x -> the tuple of y with (x, y) a point, in point order.  The map
+    is cached and shared by its callers, which must not change it."""
+    return {x: tuple(y for _, y in group)
+            for x, group in groupby(enumerate_points(curve), itemgetter(0))}

@@ -58,7 +58,6 @@ class BudgetExceeded(RuntimeError):
 
 @dataclass(frozen=True)
 class DistanceResult:
-    lower_bound: int | None
     exact: int | None
     method: str | None
     witness: tuple | None  # a minimum-weight codeword, when exact
@@ -112,10 +111,7 @@ def geil_bound(curve: CurveSpec, s: int, variant: str = "footprint") -> int:
     """
     if s < 0:
         raise ValueError("s must be nonnegative")
-    counts = [c for wp, c in _order_bound_counts(curve, variant) if wp <= s]
-    if not counts:
-        raise ValueError(f"no monomials of weight <= {s}")
-    return min(counts)
+    return min(c for wp, c in _order_bound_counts(curve, variant) if wp <= s)
 
 
 # -- information-set enumeration --
@@ -267,8 +263,7 @@ def exact_min_distance_enum(code: LinearCode,
         raise ValueError("the zero code has no minimum distance")
     search = _Enumeration(code, budget)
     search.run()
-    return DistanceResult(lower_bound=None, exact=search.upper,
-                          method="enumeration",
+    return DistanceResult(exact=search.upper, method="enumeration",
                           witness=tuple(search.packing.unpack(
                               search.packing.reduce(search.lightest))))
 
@@ -422,7 +417,7 @@ def exact_min_distance_parity(code: LinearCode,
         if found is not None:
             witness = _dependence_witness(cols, found, n, fld)
             assert code.contains(witness)
-            return DistanceResult(None, w, "column-dependence", witness)
+            return DistanceResult(w, "column-dependence", witness)
     raise AssertionError("no dependent column set in a code with k > 0")
 
 

@@ -61,11 +61,6 @@ class CodeReport:
         # would copy.
         return json.dumps(vars(self), sort_keys=True)
 
-    @staticmethod
-    def from_json(text: str) -> "CodeReport":
-        data = json.loads(text)
-        return CodeReport(**{f: data[f] for f in REPORT_FIELDS})
-
 
 REPORT_FIELDS = [f.name for f in fields(CodeReport)]
 

@@ -270,4 +270,4 @@ def subfield_subcode_of_ent(curve: CurveSpec, s: int, t: int) -> LinearCode:
     """Explicit generator matrix of NT_u(s)|F_t via the direct oracle."""
     small = subfield_of_order(curve.field, t)
     emb = embedding(small, curve.field)
-    return subfield_subcode_oracle(build_code(curve, s).code, emb)
+    return subfield_subcode_oracle(build_code(curve, s), emb)

@@ -92,7 +92,7 @@ def test_criterion_3_quaternary_published_claims():
             assert (claim["n"], claim["k"], claim["d"]) == (48, k_pub, 3)
 
             # the F16 supercode has the published (n, k)
-            code = build_code(NT5, s).code
+            code = build_code(NT5, s)
             assert (code.n, code.k) == (claim["n"], claim["k"])
 
             # not Frobenius-invariant, with the Y^7 witness; checked once
@@ -127,7 +127,7 @@ def test_criterion_3_supplement_adjudicated_values():
     # internally consistent across both computation routes.
     with criterion("3s", "quaternary examples, adjudicated values"):
         for s, k in [(60, 43), (62, 44)]:
-            sup = build_code(NT5, s).code
+            sup = build_code(NT5, s)
             assert (sup.n, sup.k) == (48, k)
             assert exact_min_distance_parity(sup).exact == 3
         for s, k in [(60, 39), (62, 41)]:
@@ -159,7 +159,7 @@ def test_criterion_5_delsarte():
     with criterion(5, "Delsarte property suite"):
         emb2 = embedding(F2, F16)
         for s in (8, 20, 36):
-            code = build_code(NT3, s).code
+            code = build_code(NT3, s)
             assert kernel(subfield_subcode_oracle(code, emb2)) == \
                 trace_code(kernel(code), emb2)
         rng = random.Random(97)
@@ -242,7 +242,7 @@ def test_criterion_9_bound_soundness():
         ]
         # supercode distances bound the subcode distances from below
         for curve, s in [(NT3, 36), (NT5, 60), (NT5, 62), (NT5, 65)]:
-            d_super = exact_min_distance_parity(build_code(curve, s).code).exact
+            d_super = exact_min_distance_parity(build_code(curve, s)).exact
             assert geil_bound(curve, s) <= d_super
         for bound, exact in exact_instances:
             assert bound <= exact

@@ -96,7 +96,7 @@ def test_fiberwise_rows_match_per_entry_evaluation(params):
         s = weights[min(k, len(weights)) - 1]
         plain = [[fld.mul(fld.pow(x, i), fld.pow(y, j)) for x, y in points]
                  for i, j in monomials_up_to(curve, s)]
-        assert build_code(curve, s).code == \
+        assert build_code(curve, s) == \
             row_space_basis(plain, fld, curve.n), s
 
 
@@ -117,7 +117,7 @@ def test_pivots_are_the_first_points_of_each_fiber(params):
                      curve.max_weight + 1}):
         expect = tuple(start + j for c, start in enumerate(starts)
                        for j in range(last_y_exponent(curve, c, s) + 1))
-        assert build_code(curve, s).code.pivots == expect, s
+        assert build_code(curve, s).pivots == expect, s
 
 
 # NT3, NT5 and the evaluation curves up to F_64, and (17,1,2,1) over F_289
@@ -159,7 +159,7 @@ def matrix_duality(curve, s, s_dual, twisted=True):
     NT_u(s) and NT_u(s'), twisting the second by -1 at x = 0 and -1/u
     elsewhere, with one dot product per pair of rows."""
     fld = curve.field
-    code, dual = build_code(curve, s).code, build_code(curve, s_dual).code
+    code, dual = build_code(curve, s), build_code(curve, s_dual)
     if twisted:
         off_axis = fld.neg(fld.inv(curve.u % curve.p))
         twist = [off_axis if x else fld.neg(1)
@@ -286,7 +286,7 @@ def test_restricted_monomial_set_spans_same_code():
                if 8 * i + 3 * j <= s]
         unrestricted = affine_variety_code(
             pts, [monomial_poly(fld, m) for m in box], fld)
-        assert unrestricted == build_code(NT3, s).code
+        assert unrestricted == build_code(NT3, s)
 
 
 def test_trace_closure_lemma_on_small_sets():

@@ -2,7 +2,7 @@ import dataclasses
 
 import pytest
 
-from normtrace.curves import CurveError, enumerate_points, make_curve
+from normtrace.curves import CurveError, enumerate_points, fibers, make_curve
 from normtrace.fields import make_field
 
 NT3 = make_curve(2, 1, 4, 3)
@@ -22,6 +22,9 @@ def test_invalid_parameters():
         make_curve(2, 1, 4, 7)  # 7 does not divide 15
     with pytest.raises(CurveError):
         make_curve(2, 1, 1, 1)  # r < 2
+    for l, u in [(0, 1), (1, 0)]:
+        with pytest.raises(CurveError, match="l and u must be positive"):
+            make_curve(2, l, 4, u)
 
 
 def test_point_counts_and_equation():
@@ -61,6 +64,9 @@ def test_point_order_is_stable():
     first = enumerate_points(NT3)
     again = tuple(sorted(enumerate_points(NT3)))
     assert first == again  # lexicographic by integer encodings
+    # the fiber map holds the points, in point order, one key per x
+    assert [(x, y) for x, ys in fibers(NT3).items() for y in ys] == \
+        list(first)
     # recomputing from a fresh equal spec gives the identical tuple
     assert enumerate_points(make_curve(2, 1, 4, 3)) == first
 

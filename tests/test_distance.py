@@ -44,6 +44,8 @@ def test_geil_bound_values():
     assert geil_bound(NT5, NT5.max_weight) == 1
     with pytest.raises(ValueError):
         geil_bound(NT3, -1)
+    with pytest.raises(ValueError, match="unknown variant 'box'"):
+        geil_bound(NT3, 36, "box")
 
 
 def geil_bound_by_definition(curve, variant):
@@ -614,7 +616,7 @@ def test_full_space_distance_one():
         full = row_space_basis([[int(i == j) for j in range(5)]
                                 for i in range(5)], fld, 5)
         assert exact_min_distance_parity(full) == DistanceResult(
-            None, 1, "column-dependence", (1, 0, 0, 0, 0))
+            1, "column-dependence", (1, 0, 0, 0, 0))
         with pytest.raises(BudgetExceeded) as info:
             exact_min_distance_parity(full, budget=0)
         exc = info.value
@@ -647,5 +649,5 @@ def test_parity_search_streams_subsets():
 def test_bound_sound_against_supercode_distances():
     from normtrace.codes import build_code
     for curve, s in [(NT3, 36), (NT5, 60), (NT5, 62), (NT5, 65)]:
-        d = exact_min_distance_parity(build_code(curve, s).code).exact
+        d = exact_min_distance_parity(build_code(curve, s)).exact
         assert geil_bound(curve, s) <= d

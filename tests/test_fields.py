@@ -3,8 +3,9 @@ import random
 import pytest
 
 from normtrace.curves import make_curve
-from normtrace.fields import (FieldError, FiniteField, embedding,
-                              make_field, subfield_of_order, trace_to)
+from normtrace.fields import (FieldError, FiniteField, SubfieldEmbedding,
+                              embedding, make_field, subfield_of_order,
+                              trace_to)
 from normtrace.linalg import LinearCode
 from normtrace.reduction import SparsePolynomial, frobenius_power
 from normtrace.subfield import code_frobenius, is_frobenius_invariant
@@ -272,6 +273,20 @@ def test_decomposition_table_inverts_recompose():
                      F16, {(1, 0): 1}), 8)):
         with pytest.raises(FieldError, match=message):
             call()
+
+
+def test_embedding_rejects_fields_and_elements_outside():
+    for small in (make_field(2, 3), make_field(3, 1)):
+        with pytest.raises(FieldError, match="does not embed in"):
+            SubfieldEmbedding(small, F16)
+    emb = embedding(F4, F16)
+    inside = set(emb.images)
+    for x in F16.elements():
+        if x in inside:
+            assert emb.embed(emb.project(x)) == x
+        else:
+            with pytest.raises(FieldError, match="not in the embedded"):
+                emb.project(x)
 
 
 def test_subfield_of_order_validation():

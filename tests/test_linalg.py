@@ -133,10 +133,10 @@ PACKING = {(2, 1): BitRows, **{(2, e): LaneRows for e in (*range(2, 11), 16)},
            **{(p, e): DigitLanes for p, e in [
                (3, 1), (5, 1), (7, 1), (3, 2), (5, 2), (3, 3), (7, 2),
                (11, 2), (5, 3), (3, 5), (127, 1), (3, 6), (17, 2),
-               (3, 10)]}}
+               (3, 10), (17, 3)]}}
 
 KERNEL_FIELDS = [(2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2), (5, 2),
-                 (3, 3), (3, 6), (2, 10), (2, 16), (17, 2), (3, 10)]
+                 (3, 3), (3, 6), (2, 10), (2, 16), (17, 2), (3, 10), (17, 3)]
 
 
 def kernel_matrices(rng, fld):

@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from normtrace import codes
+from normtrace import codes, curves
 from normtrace.cli import main
 from normtrace.curves import enumerate_points, make_curve
 from normtrace.codes import build_code, check_duality
@@ -29,11 +29,22 @@ def test_run_report_full_space():
     assert (rep.n, rep.dim_subfield, rep.exact_distance) == (32, 32, 1)
 
 
+def test_run_report_budget_exhausted():
+    # The parity search on [32,25,4] stops after 10 of the 32 columns.
+    rep = run_report(2, 1, 4, 3, 36, 2, budget=10)
+    assert (rep.dim_subfield, rep.even_weight) == (25, True)
+    assert (rep.exact_distance, rep.distance_method) == (None, None)
+    with pytest.raises(BudgetExceeded) as info:
+        run_report(2, 1, 4, 3, 36, 2, exact=True, budget=10)
+    assert (info.value.spent, info.value.budget, info.value.lower) == \
+        (10, 10, 1)
+
+
 @pytest.fixture
 def mutated(monkeypatch):
-    """monkeypatch, with the per-curve tables of codes emptied before the
-    test and again before its patches are undone."""
-    tables = (codes.footprint_is_basis, codes.build_code,
+    """monkeypatch, with the per-curve tables of curves and codes emptied
+    before the test and again before its patches are undone."""
+    tables = (curves.fibers, codes.footprint_is_basis, codes.build_code,
               codes._power_sum_table)
     for table in tables:
         table.cache_clear()
@@ -66,7 +77,7 @@ def _missing_fiber(points):
 def test_report_rejects_unproved_basis_at_every_s(mutated, mutation):
     if mutation:
         points = mutation(enumerate_points(NT3))
-        mutated.setattr(codes, "enumerate_points", lambda curve: points)
+        mutated.setattr(curves, "enumerate_points", lambda curve: points)
     if mutation in (_short_fiber, _repeated_point):
         # The evaluations are dependent, but not those of weight <= 0.
         with pytest.raises(AssertionError, match="dependent"):
@@ -101,7 +112,7 @@ def test_sweep_dimensions_match_elimination(params, t):
 
 def test_report_json_round_trip():
     rep = run_report(2, 1, 4, 3, 36, 2)
-    assert CodeReport.from_json(rep.to_json()) == rep
+    assert CodeReport(**json.loads(rep.to_json())) == rep
     data = json.loads(rep.to_json())
     assert data["even_weight"] is True
 
@@ -218,6 +229,17 @@ def test_sweep_empty_range(tmp_path):
                  cache_path=tmp_path / "c.jsonl") == []
 
 
+def test_cache_skips_blank_lines(tmp_path):
+    cache = tmp_path / "cache.jsonl"
+    reports = sweep(2, 1, 4, 3, range(0, 2), 2, cache_path=cache)
+    first, second = cache.read_text().splitlines()
+    cache.write_text(f"\n{first}\n\n  \t\n{second}\n\n")
+    spaced = cache.read_bytes()
+    assert read_cache(cache) == {rep.key(): rep for rep in reports}
+    assert sweep(2, 1, 4, 3, range(0, 2), 2, cache_path=cache) == reports
+    assert cache.read_bytes() == spaced
+
+
 def test_cache_rejects_duplicates(tmp_path):
     cache = tmp_path / "cache.jsonl"
     rep = run_report(2, 1, 4, 3, 0, 2, exact=False)
@@ -298,9 +320,12 @@ def test_report_json_matches_asdict():
     ("2 17 1 1\n0\n", "field order 2^17 exceeds cap 65536"),
     # F_131 builds, but its rows have no packing to eliminate them in.
     ("131 1 1 2\n1 5\n", "characteristic 131 is above 127"),
+    ("2 1 2 3\n1 0 1\n0 1\n", "expected 6 entries, got 5"),
+    ("2 1 2 3\n1 0 1\n1 0 1\n", "imported rows are not independent"),
 ], ids=["short", "non-numeric", "entry-out-of-range", "non-prime",
         "degree-zero", "negative-rows", "huge-characteristic", "huge-degree",
-        "order-above-cap", "characteristic-above-127"])
+        "order-above-cap", "characteristic-above-127", "entry-count",
+        "dependent-rows"])
 def test_import_matrix_malformed_header(tmp_path, text, fault):
     path = tmp_path / "m.txt"
     path.write_text(text)
@@ -318,7 +343,7 @@ def test_export_import_round_trip(tmp_path):
     assert header == "2 1 25 32"
     assert import_matrix(path) == sub
     # F16 supercode round trip
-    code = build_code(NT3, 8).code
+    code = build_code(NT3, 8)
     export_matrix(code, tmp_path / "big.txt")
     assert import_matrix(tmp_path / "big.txt") == code
 
@@ -441,6 +466,31 @@ def test_cli_budget_exit(capsys):
     assert json.loads(out) == {"n": 32, "k": 25, "d": None,
                                "lower": 2, "upper": 4}
     assert "d in [2, 4]" in err
+
+
+@pytest.mark.parametrize("method,name", [("enum", "enumeration"),
+                                         ("parity", "column-dependence")])
+def test_cli_mindist_json(method, name, capsys):
+    rc = main(["mindist", "--p", "2", "--l", "1", "--r", "4", "--u", "3",
+               "--s", "36", "--t", "2", "--json", "--method", method])
+    assert rc == 0
+    data = json.loads(capsys.readouterr().out)
+    assert (data["n"], data["k"], data["d"], data["method"]) == \
+        (32, 25, 4, name)
+    witness = data["witness"]
+    assert len(witness) == 32 and set(witness) <= {"0", "1"}
+    assert witness.count("1") == 4
+    assert subfield_subcode_of_ent(NT3, 36, 2).contains(
+        [int(v) for v in witness])
+
+
+def test_cli_export_subfield_subcode(tmp_path, capsys):
+    path = tmp_path / "sub.txt"
+    rc = main(["export", "--p", "2", "--l", "1", "--r", "4", "--u", "3",
+               "--s", "36", "--t", "2", "--out", str(path)])
+    assert rc == 0
+    assert capsys.readouterr().out == f"wrote 25 x 32 matrix to {path}\n"
+    assert import_matrix(path) == subfield_subcode_of_ent(NT3, 36, 2)
 
 
 def test_cli_io_exit(capsys):

@@ -4,7 +4,7 @@ import pytest
 
 from normtrace.codes import build_code
 from normtrace.curves import make_curve
-from normtrace.fields import embedding, make_field
+from normtrace.fields import FieldError, embedding, make_field
 from normtrace.linalg import LinearCode, kernel, rank, row_space_basis, rref
 from normtrace.monomials import footprint, monomials_up_to
 from normtrace.reduction import (frobenius_power, monomial_poly,
@@ -83,7 +83,7 @@ def test_ladder_dimensions_match_oracle(params, s, t, dim):
 
 def test_oracle_words_lie_in_code_and_subfield():
     emb = embedding(F2, F16)
-    code = build_code(NT3, 36).code
+    code = build_code(NT3, 36)
     sub = subfield_subcode_oracle(code, emb)
     for row in sub.generators:
         assert code.contains([emb.embed(v) for v in row])
@@ -115,7 +115,7 @@ def test_trace_code_basics():
     assert trace_code(c2, embedding(F2, F2)) == c2
     zero = LinearCode(F16, 4, ())
     assert trace_code(zero, embedding(F2, F16)).k == 0
-    tc = trace_code(build_code(NT3, 8).code, embedding(F2, F16))
+    tc = trace_code(build_code(NT3, 8), embedding(F2, F16))
     assert tc.contains((1,) * 32)  # the all-ones codeword
     assert tc.k == 7
 
@@ -136,7 +136,7 @@ def test_trace_span_matches_trace_code_dim():
     for curve, s, t, emb in [(NT3, 8, 2, emb2), (NT3, 20, 2, emb2),
                              (NT5, 14, 4, emb4), (NT5, 10, 2, emb2)]:
         assert trace_span_dim(curve, s, t) == \
-            trace_code(build_code(curve, s).code, emb).k
+            trace_code(build_code(curve, s), emb).k
 
 
 def test_intersection_code_dimension():
@@ -407,3 +407,11 @@ def test_oracle_on_non_echelon_generators(small, big):
         row_space_basis(cases[0], fld, 7), emb).k == 1
     assert subfield_subcode_oracle(
         row_space_basis(cases[1], fld, 7), emb).k == 2
+
+
+def test_oracle_and_trace_code_reject_embedding_into_another_field():
+    code = build_code(NT3, 8)  # over F_16
+    emb = embedding(make_field(2, 1), make_field(2, 2))
+    for route in (subfield_subcode_oracle, trace_code):
+        with pytest.raises(FieldError, match="does not target"):
+            route(code, emb)
