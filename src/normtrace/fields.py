@@ -121,6 +121,20 @@ def _poly_gcd(a, b, p):
     return a
 
 
+def _has_root(poly, p):
+    """Whether the polynomial (coefficients from the constant up) vanishes
+    at some element of F_p."""
+    if not poly[0]:
+        return True
+    for x in range(1, p):
+        value = 0
+        for c in reversed(poly):
+            value = (value * x + c) % p
+        if not value:
+            return True
+    return False
+
+
 def _is_irreducible(poly, p):
     """Check irreducibility of a monic polynomial over F_p.
 
@@ -182,7 +196,12 @@ class FiniteField:
     @staticmethod
     def _find_modulus(p, e):
         # Smallest irreducible monic degree-e polynomial, ordered by the
-        # integer encoding of its non-leading coefficients.
+        # integer encoding of its non-leading coefficients: x for e = 1.
+        # Above degree 1, a candidate with a root in F_p has a linear
+        # factor and is passed over before the irreducibility test, and
+        # one of degree 2 or 3 without a root has no factor at all.
+        if e == 1:
+            return 0, 1
         for enc in range(p**e):
             coeffs = []
             v = enc
@@ -190,7 +209,8 @@ class FiniteField:
                 coeffs.append(v % p)
                 v //= p
             poly = coeffs + [1]
-            if _is_irreducible(poly, p):
+            if not _has_root(poly, p) and (e <= 3 or
+                                           _is_irreducible(poly, p)):
                 return tuple(poly)
         raise FieldError(f"no irreducible polynomial of degree {e} over F_{p}")
 

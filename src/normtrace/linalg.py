@@ -15,9 +15,13 @@ one way row_packing picks from the field: one bit per entry over F_2
 (BitRows), one lane per entry over F_4 ... F_{2^16}, 8 bits wide up to
 F_256 and 16 bits above (LaneRows), and one byte lane per F_p digit over
 odd fields with p <= 127 (DigitLanes).  The three share one set of
-methods, so rref, kernel and the distance searches each have one code
-path.  A field of characteristic above 127 has no packing: two of its
-reduced digits can pass 255 in one byte lane, and row_packing raises
+methods (pack, unpack, key, lead, multiples, pivot_multiples, sweep,
+eliminate, back_substitute, insert, add, reduce, scale, monic, weights),
+so rref, kernel, the distance searches and the trace pass each have one
+code path; insert, which reduces one row against an echelon basis and
+adds it there when it is independent, has its own loop in BitRows and
+DigitLanes.  A field of characteristic above 127 has no packing: two of
+its reduced digits can pass 255 in one byte lane, and row_packing raises
 FieldError for it.
 
 rref eliminates forward, then substitutes back.  Each packing clears the
@@ -87,6 +91,21 @@ class _Packing:
         col = self.lead(v)
         return self.sweep(rows, self.pivot_multiples(v, col), col)
 
+    def insert(self, basis: dict, v: int) -> int:
+        """Reduce the row v against an echelon basis, kept as a dict from
+        each pivot column to what this packing's insert keeps of its row
+        (here pivot_multiples).  1 if v is independent of the basis, and
+        then it joins it at its leading column; else 0, the basis as it
+        was."""
+        while v:
+            col = self.lead(v)
+            minus = basis.get(col)
+            if minus is None:
+                basis[col] = self.pivot_multiples(v, col)
+                return 1
+            v = self.sweep([v], minus, col)[0]
+        return 0
+
 
 class _OnFirstUse(dict):
     """The map x -> f(x), each value computed on first use."""
@@ -153,6 +172,19 @@ class BitRows(_Packing):
         bit of v."""
         bit = v & -v
         return [u ^ v if u & bit else u for u in rows]
+
+    @staticmethod
+    def insert(basis: dict, v: int) -> int:
+        """As _Packing.insert, keeping each basis row itself: while the
+        pivot at the lowest set bit of v is there, v is XORed with it."""
+        while v:
+            col = (v & -v).bit_length() - 1
+            pivot = basis.get(col)
+            if pivot is None:
+                basis[col] = v
+                return 1
+            v ^= pivot
+        return 0
 
     @staticmethod
     def back_substitute(echelon: list, pivots: list) -> None:
@@ -434,6 +466,21 @@ class DigitLanes(_Packing):
                                .translate(mod), "little")
                 if (c := v >> shift & mask) else v for v in rows]
 
+    def insert(self, basis: dict, v: int) -> int:
+        """As _Packing.insert, with the lead and the key of v's entry there
+        read inline: a step adds the pivot's reduced multiple as integers
+        and reduces with one translate."""
+        bits, mask, nbytes, mod = self.bits, self.mask, self.nbytes, self.mod
+        while v:
+            col = ((v & -v).bit_length() - 1) // bits
+            minus = basis.get(col)
+            if minus is None:
+                basis[col] = self.pivot_multiples(v, col)
+                return 1
+            v = int.from_bytes((v + minus[v >> col * bits & mask]).to_bytes(
+                nbytes, "little").translate(mod), "little")
+        return 0
+
     def lead(self, v: int) -> int:
         """The column of the first nonzero entry of a nonzero row."""
         return (((v & -v).bit_length() - 1) >> 3) // self.e
@@ -613,11 +660,15 @@ def shift_fold(packing: _Packing, v: int, up: int, down: int) -> int:
     i <= P, in a width of (P + 1) m lanes, up = a m and down = P m give X^a
     times it with X^{P+1} = X, for 0 <= a <= P.  Then up <= down, so every
     moved entry lands below the width, and each lane gets at most two
-    reduced entries, which every packing adds without overflow.
+    reduced entries, which every packing adds without overflow.  In
+    characteristic 2 (span None) adding is XOR and reduce the identity,
+    so both are done inline.
     """
     cut = packing.width * packing.bits
     w = v << up * packing.bits
     high = w >> cut
+    if packing.span is None:
+        return w ^ high << cut ^ high << (cut - down * packing.bits)
     return packing.reduce(packing.add(w ^ (high << cut),
                                       high << (cut - down * packing.bits)))
 

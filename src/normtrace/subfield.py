@@ -22,15 +22,18 @@ reduction.NormalFormTable, packed over the prime field F_p and shifted in
 X, and it is reduced as it is against an echelon basis kept in the same
 packing, since the normal forms of monomials have coefficients in F_p and
 a rank does not change when the field is extended.  The pass is extended
-only as far as the highest weight asked so far.  The Frobenius-invariance
-test reads the same rows against a mask of the lanes of M(s).
+only as far as the highest weight asked so far.  It walks each Frobenius
+orbit of exponent pairs once, around its cycle, and it does not reduce a
+row whose weight class (X^i Y^j has class i + u j mod u(q-1), which both
+rewrite rules keep) already has full rank.  The Frobenius-invariance test
+reads the same rows against a mask of the lanes of M(s).
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 from .codes import build_code, dual_weight, footprint_is_basis
 from .curves import CurveSpec
@@ -74,21 +77,26 @@ class _TracePass:
     Monomial X^i Y^j brings its powers X^{i t^k} Y^{j t^k}, k < m, in turn.
     Each power is first brought to its canonical exponents (X as in
     _x_exponent, Y as in _y_exponent), which fix its normal form, and an
-    exponent pair seen before is skipped.  The Frobenius maps on canonical
-    exponents, a -> canonical(a t) and b -> canonical(b t), are two lists
-    built with the pass, so each step is two lookups.  The normal form of
-    a new pair (a, b) is row b of the curve's NormalFormTable, a packed
-    row over F_p, times X^a: one shift and fold of its lanes.  It is
-    reduced as it is against an echelon basis kept in the same packing:
-    the normal forms of monomials have coefficients in F_p, and a rank
-    does not change when the field is extended.  The pass goes only as
-    far as the highest weight asked so far.
+    exponent pair seen before is skipped: the powers of a monomial are a
+    cycle of pairs (see Orbits below), so a monomial whose pair was seen
+    is skipped whole, and the others walk their cycle once.  The Frobenius
+    maps on canonical exponents, a -> canonical(a t) and
+    b -> canonical(b t), are two lists built with the pass, so each step
+    is two lookups.  The normal form of a new pair (a, b) is row b of the
+    curve's NormalFormTable, a packed row over F_p, times X^a: one shift
+    and fold of its lanes.  It is reduced as it is against an echelon
+    basis kept in the same packing (packing.insert): the normal forms of
+    monomials have coefficients in F_p, and a rank does not change when
+    the field is extended.  A row whose weight class has full rank is
+    not reduced (see Weight classes below).  The pass goes only as far as
+    the highest weight asked so far.
 
     Distinct canonical pairs give distinct normal forms, so no form is
     seen twice.  The pairs reached have a, a' <= P = u(q-1) and
     b, b' <= N - 1 with N = q^r - 1, each a row of the table: j t^k is
     below q^{r-1} or reduces into 1 .. N, and N divides j t^k only for
-    j = 0, since t is prime to N.  Equal normal forms mean x^a y^b = x^a' y^b' at every point.
+    j = 0, since t is prime to N.  Equal normal forms mean
+    x^a y^b = x^a' y^b' at every point.
     The x with x^u = Tr(y) != 0 form a coset of the u-th roots of unity,
     so u divides a - a' = ue, and y^(b'-b) = Tr(y)^e on T = {Tr(y) != 0}.
     Then y^D, D = b' - b mod N, is constant on each hyperplane
@@ -98,6 +106,27 @@ class _TracePass:
     on T and has constant term z^g != 0: impossible.  So b = b', then
     Tr(y)^e = 1 on T makes q - 1 divide e and P divide a - a', and the
     one case left, {a, a'} = {0, P}, differs at (0, z).
+
+    Orbits.  On X exponents the step a -> x_next[a] fixes 0 and is
+    multiplication by t on the residues mod P of 1 .. P; on Y exponents,
+    b -> y_next[b] fixes 0 and is multiplication by t on the residues
+    mod N of 1 .. N - 1.  Since t is prime to N and P divides N, the step
+    on pairs is a permutation, and t^m = q^r = 1 mod N makes the length
+    of each cycle divide m.  So the m powers of a monomial go round its
+    cycle a whole number of times: the pass walks it once, until it
+    returns to its start, and a footprint monomial whose pair was seen
+    lies on a cycle walked before and brings nothing.
+
+    Weight classes.  X^i Y^j has class (i + u j) mod P.  Both rewrite
+    rules keep it: every term of Y^{q^{r-1}} -> X^u - sum_{k<r-1} Y^{q^k}
+    has class u, as u q^k = u mod u(q - 1), and X^{P+1} -> X keeps i
+    mod P; y^{q^r} = y keeps it too, as P divides N.  So NF(X^a Y^b) lies
+    in the lanes of class (a + u b) mod P, and reducing it against the
+    basis rows at pivots of that class keeps it there: each class has
+    its own echelon basis, of rank at most the number of footprint lanes
+    of class c.  room[c] is that number less the basis rows of class c:
+    once it is 0, the later rows of class c are dependent, and are
+    counted without being reduced.
     """
 
     def __init__(self, curve: CurveSpec, t: int):
@@ -109,49 +138,50 @@ class _TracePass:
         self.ranks = []  # rank of rows[:i + 1]
         self.exponents = set()
         self.table = normal_form_table(curve)
-        self.basis = {}  # pivot column -> pivot_multiples of its row
+        self.basis = {}  # pivot column -> what packing.insert keeps
+        u, period = curve.u, curve.u * (curve.q - 1)
         # The canonical exponents of t times a canonical X or Y exponent.
-        self.x_next = [_x_exponent(curve, a * t)
-                       for a in range(curve.u * (curve.q - 1) + 1)]
+        self.x_next = [_x_exponent(curve, a * t) for a in range(period + 1)]
         self.y_next = [_y_exponent(curve, b * t)
                        for b in range(len(self.table.rows))]
+        # The footprint lanes of each weight class not yet taken by a
+        # basis row of that class.
+        self.room = [0] * period
+        for i, j in footprint(curve):
+            self.room[(i + u * j) % period] += 1
 
     def extend_to(self, s: int) -> None:
-        table, insert = self.table, self._insert
-        x_next, y_next, y_rows = self.x_next, self.y_next, self.table.rows
-        monos, weights = footprint(self.curve), footprint_weights(self.curve)
+        curve, table = self.curve, self.table
+        insert = partial(table.packing.insert, self.basis)
+        times_x, y_rows = table.times_x, table.rows
+        x_next, y_next, room = self.x_next, self.y_next, self.room
+        u, period = curve.u, curve.u * (curve.q - 1)
+        monos, weights = footprint(curve), footprint_weights(curve)
         seen, rows, ranks = self.exponents, self.rows, self.ranks
         origins = self.origins
         rank = ranks[-1] if ranks else 0
         stop = bisect_right(weights, s)
         for pos in range(self.done, stop):
-            a, b = monos[pos]
-            for _ in range(self.m):
+            start = monos[pos]
+            if start in seen:  # its whole orbit was walked before
+                continue
+            weight, (a, b) = weights[pos], start
+            while True:
+                seen.add((a, b))
+                row = times_x(a, y_rows[b])
+                rows.append(row)
+                origins.append(weight)
+                c = (a + u * b) % period
+                if room[c] and insert(row):
+                    room[c] -= 1
+                    rank += 1
+                ranks.append(rank)
                 # Both reductions keep an exponent's residue, so the next
                 # power's canonical pair is that of t times this pair.
-                if (a, b) not in seen:
-                    seen.add((a, b))
-                    row = table.times_x(a, y_rows[b])
-                    rows.append(row)
-                    origins.append(weights[pos])
-                    rank += insert(row)
-                    ranks.append(rank)
                 a, b = x_next[a], y_next[b]
+                if (a, b) == start:
+                    break
         self.done = max(self.done, stop)
-
-    def _insert(self, v) -> int:
-        """1 if the row v is independent of the rows before it, and then it
-        joins the basis; else 0."""
-        packing, basis = self.table.packing, self.basis
-        lead, sweep = packing.lead, packing.sweep
-        while v:
-            col = lead(v)
-            minus = basis.get(col)
-            if minus is None:
-                basis[col] = packing.pivot_multiples(v, col)
-                return 1
-            v = sweep([v], minus, col)[0]
-        return 0
 
 
 @lru_cache(maxsize=None)

@@ -4,8 +4,8 @@ import pytest
 
 from normtrace.curves import make_curve
 from normtrace.fields import (FieldError, FiniteField, SubfieldEmbedding,
-                              embedding, make_field, subfield_of_order,
-                              trace_to)
+                              _is_irreducible, embedding, make_field,
+                              subfield_of_order, trace_to)
 from normtrace.linalg import LinearCode
 from normtrace.reduction import SparsePolynomial, frobenius_power
 from normtrace.subfield import code_frobenius, is_frobenius_invariant
@@ -42,6 +42,26 @@ MODULI = {
 
 def test_moduli_are_pinned():
     assert {pe: make_field(*pe).modulus for pe in MODULI} == MODULI
+
+
+def plain_modulus(p, e):
+    """The first monic degree-e candidate, by the integer encoding of its
+    lower coefficients, that passes the irreducibility test."""
+    for enc in range(p ** e):
+        poly = [enc // p ** i % p for i in range(e)] + [1]
+        if _is_irreducible(poly, p):
+            return tuple(poly)
+
+
+def test_modulus_search_passes_over_candidates_with_roots():
+    """Passing over the candidates with a root in F_p before the
+    irreducibility test picks the same modulus as the plain search, for
+    every field of characteristic at most 251 and order at most 2^16."""
+    fields = [(p, e) for p in range(2, 252) if all(p % d for d in range(2, p))
+              for e in range(1, 17) if p ** e <= 2 ** 16]
+    assert len(fields) == 147
+    for p, e in fields:
+        assert FiniteField._find_modulus(p, e) == plain_modulus(p, e), (p, e)
 
 
 def poly_pow(fld, a, n):

@@ -167,6 +167,31 @@ def test_rref_matches_per_entry_reference():
             assert rref([tuple(r) for r in rows], fld) == expect
 
 
+def test_insert_matches_rref_on_every_packing():
+    """Rows inserted one at a time into an echelon basis, on every packing:
+    BitRows and DigitLanes with their own insert (e = 1 and e > 1), LaneRows
+    with the shared one.  The 1s returned add up to the rank, the basis's
+    pivot columns are rref's, and a zero row returns 0 and leaves the
+    basis as it was."""
+    rng = random.Random(67)
+    for p, e in KERNEL_FIELDS:
+        fld = make_field(p, e)
+        for rows in kernel_matrices(rng, fld):
+            if not rows or not rows[0]:
+                continue
+            packing = row_packing(fld, len(rows[0]))
+            basis = {}
+            taken = sum(packing.insert(basis, packing.pack(row))
+                        for row in rows)
+            reduced, pivots = rref(rows, fld)
+            assert taken == len(reduced), (p, e)
+            assert sorted(basis) == pivots, (p, e)
+            before = dict(basis)
+            assert packing.insert(basis, 0) == 0
+            assert basis.keys() == before.keys() and \
+                all(basis[col] is before[col] for col in before)
+
+
 def test_square_full_rank_entry_rows_match_reference():
     """A square full-rank matrix over F_289, F_512, F_729 and F_1024, the
     fields of the (17,1,2,1), (2,3,3,1), (3,1,6,1) and (2,1,10,1) curves,

@@ -1,4 +1,5 @@
 import random
+from bisect import bisect_right
 
 import pytest
 
@@ -260,6 +261,74 @@ def test_canonical_exponents_give_distinct_normal_forms(params, ts):
         span = _TracePass(curve, t)
         span.extend_to(curve.max_weight)
         assert len(set(span.rows)) == len(span.rows)
+
+
+# Curves for the weight-class tests: u(q-1) runs from 1 on the (2,1,10,1)
+# curve over F_1024, where every monomial is in one class, to 24.
+CLASS_CURVES = [(2, 1, 4, 3), (3, 1, 2, 4), (2, 2, 2, 5), (5, 1, 2, 6),
+                (2, 1, 6, 3), (17, 1, 2, 1), (2, 1, 10, 1)]
+
+
+def weight_class(curve, i, j):
+    return (i + curve.u * j) % (curve.u * (curve.q - 1))
+
+
+def subfield_orders(curve):
+    e = curve.field.e
+    return [curve.p ** d for d in range(1, e + 1) if e % d == 0]
+
+
+@pytest.mark.parametrize("params", CLASS_CURVES, ids=str)
+def test_normal_forms_stay_in_their_weight_class(params):
+    """NF(X^a Y^b), a <= P = u(q-1), b < q^r - 1, lies in the lanes of the
+    footprint monomials X^i Y^j with i + u j = a + u b mod P: both rewrite
+    rules keep that class."""
+    curve = make_curve(*params)
+    table = normal_form_table(curve)
+    period = curve.u * (curve.q - 1)
+    outside = [~table.lane_mask([m for m in footprint(curve)
+                                 if weight_class(curve, *m) == c])
+               for c in range(period)]
+    for a in range(period + 1):
+        for b in range(curve.field.order - 1):
+            assert not table.row(a, b) & outside[weight_class(curve, a, b)], \
+                (a, b)
+
+
+@pytest.mark.parametrize("params", CLASS_CURVES, ids=str)
+def test_pass_ranks_match_rank_of_every_prefix(params):
+    """A whole-curve pass for each subfield order t, against rref over F_p
+    of the matrix whose columns are its unpacked rows: column i is a pivot
+    exactly when row i is independent of the rows before it, so the rank
+    of rows[:i + 1] is the number of pivots up to i.  All the rows have
+    rank n, and every weight class is left with no room."""
+    curve = make_curve(*params)
+    packing = normal_form_table(curve).packing
+    prime = make_field(curve.p, 1)
+    for t in subfield_orders(curve):
+        span = _TracePass(curve, t)
+        span.extend_to(curve.max_weight)
+        rows = list(map(packing.unpack, span.rows))
+        pivots = rref(list(zip(*rows)), prime)[1]
+        assert span.ranks == [bisect_right(pivots, i)
+                              for i in range(len(rows))], t
+        assert span.ranks[-1] == rank(rows, prime) == curve.n
+        assert not any(span.room)
+
+
+@pytest.mark.parametrize("params", CLASS_CURVES, ids=str)
+def test_pass_with_one_class_short_gives_another_rank(params):
+    """A pass told that one weight class has one lane fewer than it has
+    stops that class one row short, and its ranks differ from the true
+    ones: the pruning counts a class full only when it is."""
+    curve = make_curve(*params)
+    true = _TracePass(curve, curve.p)
+    true.extend_to(curve.max_weight)
+    for c in range(len(true.room)):
+        short = _TracePass(curve, curve.p)
+        short.room[c] -= 1
+        short.extend_to(curve.max_weight)
+        assert short.ranks != true.ranks, c
 
 
 @pytest.mark.parametrize("params", [(2, 1, 4, 3), (2, 1, 4, 5), (2, 2, 2, 5)],
