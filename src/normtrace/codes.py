@@ -27,6 +27,14 @@ Kronecker product of Vandermonde matrices times a block diagonal of
 Vandermonde matrices.  build_code still checks the rank of every code
 whose generators it builds.
 
+Both Vandermonde factors of that matrix M have inverses in closed form,
+so M^-1 needs no elimination (footprint_inverse_rows): the x's are 0 and
+the u(q-1)-th roots of unity, and each fiber's y's are the roots of
+Tr(Y) - c, whose derivative is 1.  The column of M^-1 at a footprint monomial of weight
+above s is orthogonal to every monomial of M(s), so these n - k columns
+are parity checks spanning the dual of NT_u(s); subfield reads the
+subfield subcodes of high-rate codes from them.
+
 build_code returns the LinearCode NT_u(s).  It evaluates Newton rows fiber
 by fiber: the points, in order, are grouped by x into the fibers of
 curves.fibers, with distinct x's x_0, x_1, ..., and X^i Y^j gives the row of
@@ -50,6 +58,31 @@ from .monomials import footprint, monomials_up_to
 from .reduction import _x_exponent
 
 
+def _fiber_rows(curve: CurveSpec, monos, x_part: dict, y_part) -> list:
+    """For each (i, j) in monos, the row whose entry at the point (x, y) is
+    x_part[i][c] * y_part(j)(y), c the index of x's fiber (curves.fibers).
+
+    The row of y_part(j) over all the points is one entrywise map, and each
+    fiber's slice of it is scaled by its x_part entry, also one entrywise
+    map.  A row is `bytes` over fields of order at most 256, a list above.
+    """
+    fld = curve.field
+    kind = row_type(fld)
+    groups = fibers(curve)
+    ys = kind(chain.from_iterable(groups.values()))
+    bounds = list(accumulate(map(len, groups.values()), initial=0))
+    scalings = {c: entrywise(fld, partial(fld.mul, c))
+                for c in {c for i, _ in monos for c in x_part[i]}}
+    yfibers = {}
+    for j in {j for _, j in monos}:
+        row = entrywise(fld, y_part(j))(ys)
+        yfibers[j] = [row[a:b] for a, b in zip(bounds, bounds[1:])]
+    join = b"".join if kind is bytes else \
+        (lambda parts: list(chain.from_iterable(parts)))
+    return [join(scalings[c](part) for c, part in zip(x_part[i], yfibers[j]))
+            for i, j in monos]
+
+
 def _monomial_rows(curve: CurveSpec, monos) -> list:
     """The Newton rows of the monomials: for X^i Y^j, the evaluations of
     pi_i(x) y^j at the points, where pi_i(x) = prod_{c<i} (x - x_c) over
@@ -57,16 +90,10 @@ def _monomial_rows(curve: CurveSpec, monos) -> list:
 
     The points are grouped by x into fibers, so pi_i vanishes on fibers
     0 .. i-1, and the row of X^i Y^j is, fiber by fiber, pi_i(x) times that
-    fiber's slice of the row of y^j over all the points: one scaling per
-    fiber.  The row of y^j and each fiber's scaling are one entrywise map,
-    and a row is `bytes` over fields of order at most 256, a list above.
+    fiber's slice of the row of y^j (_fiber_rows).
     """
     fld = curve.field
-    kind = row_type(fld)
-    groups = fibers(curve)
-    xs = list(groups)
-    ys = kind(chain.from_iterable(groups.values()))
-    bounds = list(accumulate(map(len, groups.values()), initial=0))
+    xs = list(fibers(curve))
     wanted = {i for i, _ in monos}
     newton, pi = {}, [1] * len(xs)  # i -> pi_i at each fiber's x
     for i in range(max(wanted, default=-1) + 1):
@@ -74,16 +101,56 @@ def _monomial_rows(curve: CurveSpec, monos) -> list:
             newton[i] = pi
         if i < len(xs):  # pi_{i+1} = pi_i (x - x_i); past that, zero
             pi = [fld.mul(v, fld.sub(x, xs[i])) for v, x in zip(pi, xs)]
-    scalings = {c: entrywise(fld, partial(fld.mul, c))
-                for c in {c for row in newton.values() for c in row}}
-    yfibers = {}
-    for j in {j for _, j in monos}:
-        row = entrywise(fld, lambda y: fld.pow(y, j))(ys)
-        yfibers[j] = [row[a:b] for a, b in zip(bounds, bounds[1:])]
-    join = b"".join if kind is bytes else \
-        (lambda parts: list(chain.from_iterable(parts)))
-    return [join(scalings[c](part) for c, part in zip(newton[i], yfibers[j]))
-            for i, j in monos]
+    return _fiber_rows(curve, monos, newton,
+                       lambda j: lambda y: fld.pow(y, j))
+
+
+def footprint_inverse_rows(curve: CurveSpec, monos) -> list:
+    """For each footprint monomial X^i Y^j in monos, column (i, j) of M^-1,
+    M the evaluation matrix of the footprint (footprint_is_basis): the word
+    h over the points with sum_P x^a y^b h_P = [(a, b) = (i, j)] for every
+    footprint monomial X^a Y^b.  For X^i Y^j of weight above s, h is a
+    parity check of NT_u(s), and those n - k words span its dual.
+
+    M = (A (x) I_m) diag(V_x), so M^-1 = diag(V_x^-1) (A^-1 (x) I_m), and
+    entry (x, y) of column (i, j) is A^-1[x][i] V_x^-1[y][j], one scaling
+    per fiber of one row in y (_fiber_rows).  Both inverses have a closed
+    form.  With P = u(q-1), the x's are 0 and the P-th roots of unity mu_P,
+    and P is a unit of F_p (u divides (q^r-1)/(q-1), prime to p, and
+    q - 1 = -1 mod p).
+
+    A^-1[x][i] = x^-i / P for x != 0 and 1 <= i <= P, 0 at i = 0; row
+    x = 0 is [i = 0] - [i = P].  Indeed sum_x x^a A^-1[x][i] is 0^a = [a = 0]
+    for i = 0; for i >= 1 it is (1/P) sum_{mu_P} x^(a-i) - [i = P] 0^a, and
+    the sum over mu_P is P when P divides a - i, for a - i in -P .. P - 1:
+    at a = i, and at a = 0, i = P, where the row of x = 0 cancels it.
+
+    The y's of the fiber of x are the trace class Y_c, c = x^u, and
+    f(Y) = prod_{y in Y_c} (Y - y) = Tr(Y) - c = sum_{k<r} Y^(q^k) - c has
+    derivative 1.  So the Lagrange polynomial of y, which is 1 at y and 0
+    at the other y's of Y_c, is f(Y) / ((Y - y) f'(y)) =
+    sum_{k<r} (Y^(q^k) - y^(q^k)) / (Y - y), and its coefficients are row y
+    of V_x^-1: V_x^-1[y][j] = sum_{k<r, q^k>j} y^(q^k-1-j), the same in
+    every fiber, and read from the y alone.
+    """
+    fld = curve.field
+    q, r = curve.q, curve.r
+    period = curve.u * (q - 1)
+    scale = fld.inv(period % curve.p)
+
+    def a_inverse(x, i):
+        if not x:
+            return {0: 1, period: fld.neg(1)}.get(i, 0)
+        return fld.mul(scale, fld.pow(x, -i)) if i else 0
+
+    x_part = {i: [a_inverse(x, i) for x in fibers(curve)]
+              for i in {i for i, _ in monos}}
+
+    def y_part(j):
+        exponents = [q ** k - 1 - j for k in range(r) if q ** k > j]
+        return lambda y: field_sum(fld, (fld.pow(y, e) for e in exponents))
+
+    return _fiber_rows(curve, monos, x_part, y_part)
 
 
 @lru_cache(maxsize=None)

@@ -5,10 +5,10 @@ import pytest
 from normtrace import codes
 from normtrace.codes import (affine_variety_code, build_code, check_duality,
                              dual_weight, dual_weight_printed_formula,
-                             footprint_is_basis)
+                             footprint_inverse_rows, footprint_is_basis)
 from normtrace.curves import enumerate_points, make_curve
 from normtrace.fields import make_field
-from normtrace.linalg import row_space_basis
+from normtrace.linalg import row_space_basis, rref
 from normtrace.monomials import footprint, footprint_weights, monomials_up_to
 from normtrace.reduction import SparsePolynomial, _x_exponent, monomial_poly
 
@@ -133,6 +133,39 @@ def test_footprint_is_basis_agrees_with_elimination(params):
     curve = make_curve(*params)
     assert footprint_is_basis(curve) is (
         build_code(curve, curve.max_weight).k == curve.n)
+
+
+# Odd characteristic with u = 1 mod p ((3,1,2,4)) and u != 1 mod p
+# ((3,1,2,2), (5,1,2,3)), l = 2, and (17,1,2,1) over F_289, whose rows are
+# lists: in characteristic 2 the row of x = 0 reads the same with either
+# sign.
+INVERSE_CURVES = [(2, 1, 4, 3), (2, 1, 4, 5), (3, 1, 2, 2), (5, 1, 2, 3),
+                  (2, 2, 2, 5), (3, 1, 2, 4), (7, 1, 2, 4), (17, 1, 2, 1)]
+
+
+@pytest.mark.parametrize("params", INVERSE_CURVES, ids=str)
+def test_footprint_inverse_matches_augmented_elimination(params):
+    """The closed-form columns of M^-1 are those of the inverse that one
+    rref of [M | I] gives, M the footprint evaluation matrix: so
+    M M^-1 = I."""
+    curve = make_curve(*params)
+    fld, n = curve.field, curve.n
+    points, monos = enumerate_points(curve), footprint(curve)
+    augmented = [[fld.mul(fld.pow(x, i), fld.pow(y, j)) for x, y in points]
+                 + [int(a == b) for b in range(n)]
+                 for a, (i, j) in enumerate(monos)]
+    rows, pivots = rref(augmented, fld)
+    assert pivots == list(range(n))  # [M | I] -> [I | M^-1]
+    inverse_columns = [list(col) for col in zip(*(row[n:] for row in rows))]
+    closed = footprint_inverse_rows(curve, monos)
+    assert all(isinstance(row, bytes if fld.order <= 256 else list)
+               for row in closed)
+    assert [list(row) for row in closed] == inverse_columns
+    # Any subset, in any order.
+    picks = random.Random(str(params)).sample(range(n), min(9, n))
+    assert [list(row) for row in footprint_inverse_rows(
+        curve, [monos[a] for a in picks])] == \
+        [inverse_columns[a] for a in picks]
 
 
 def test_dual_weight():

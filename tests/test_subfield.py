@@ -3,9 +3,11 @@ from bisect import bisect_right
 
 import pytest
 
+from normtrace import subfield
 from normtrace.codes import build_code
 from normtrace.curves import make_curve
-from normtrace.fields import FieldError, embedding, make_field
+from normtrace.fields import FieldError, embedding, make_field, \
+    subfield_of_order
 from normtrace.linalg import LinearCode, kernel, rank, row_space_basis, rref
 from normtrace.monomials import footprint, monomials_up_to
 from normtrace.reduction import (frobenius_power, monomial_poly,
@@ -13,6 +15,7 @@ from normtrace.reduction import (frobenius_power, monomial_poly,
 from normtrace.subfield import (FrobeniusInvariance, _trace_pass, _TracePass,
                                 code_frobenius, is_frobenius_invariant,
                                 subfield_subcode_dim,
+                                subfield_subcode_from_checks,
                                 subfield_subcode_of_ent,
                                 subfield_subcode_oracle, trace_code,
                                 trace_span, trace_span_dim)
@@ -22,6 +25,12 @@ NT5 = make_curve(2, 1, 4, 5)
 F2 = make_field(2, 1)
 F4 = make_field(2, 2)
 F16 = make_field(2, 4)
+
+
+def oracle(curve, s, t):
+    """NT_u(s)|F_t by the oracle on build_code's generators."""
+    emb = embedding(subfield_of_order(curve.field, t), curve.field)
+    return subfield_subcode_oracle(build_code(curve, s), emb)
 
 
 def random_code(rng, fld, n, k):
@@ -64,8 +73,9 @@ def test_subfield_subcode_dims():
 def test_oracle_matches_delsarte_route():
     for curve, s, t in [(NT3, 36, 2), (NT3, 8, 2), (NT5, 60, 4),
                         (NT5, 62, 4), (NT5, 65, 2)]:
-        oracle = subfield_subcode_of_ent(curve, s, t)
-        assert oracle.k == subfield_subcode_dim(curve, s, t)
+        dim = subfield_subcode_dim(curve, s, t)
+        assert subfield_subcode_of_ent(curve, s, t).k == dim
+        assert oracle(curve, s, t).k == dim
 
 
 # The instance ladder: (curve, s, t, dim NT_u(s)|F_t), from [128, 3] over
@@ -80,6 +90,50 @@ def test_ladder_dimensions_match_oracle(params, s, t, dim):
     curve = make_curve(*params)
     assert subfield_subcode_dim(curve, s, t) == dim
     assert subfield_subcode_of_ent(curve, s, t).k == dim
+    assert oracle(curve, s, t).k == dim
+
+
+@pytest.mark.parametrize("params", [(2, 1, 4, 3), (2, 1, 4, 5), (3, 1, 2, 4),
+                                    (2, 2, 2, 5), (3, 1, 2, 2), (5, 1, 2, 3)],
+                         ids=str)
+def test_check_path_matches_oracle_at_every_weight(params):
+    """From s = -1 (no generators) to past the largest weight (no checks),
+    over every subfield, trivial extension included."""
+    curve = make_curve(*params)
+    fld = curve.field
+    for d in (d for d in range(1, fld.e + 1) if fld.e % d == 0):
+        emb = embedding(make_field(curve.p, d), fld)
+        for s in range(-1, curve.max_weight + 2):
+            assert subfield_subcode_from_checks(curve, s, emb) == \
+                subfield_subcode_oracle(build_code(curve, s), emb), (s, d)
+
+
+# The subcode and mindist benchmark instances, and whether each takes the
+# check path: m(n - k) <= 2k.
+BENCHMARK_PATHS = [
+    ((2, 1, 4, 15), 100, 2, False), ((2, 1, 4, 15), 150, 4, True),
+    ((2, 1, 6, 3), 64, 2, False), ((2, 1, 6, 3), 120, 8, True),
+    ((2, 2, 2, 5), 50, 2, True), ((5, 1, 2, 6), 60, 5, False),
+    ((5, 1, 2, 6), 100, 5, True), ((3, 1, 3, 13), 100, 3, False),
+    ((2, 1, 4, 3), 36, 2, True), ((3, 1, 2, 4), 16, 3, True),
+    ((2, 2, 2, 5), 60, 2, True), ((2, 1, 4, 15), 189, 2, True),
+    ((2, 2, 2, 5), 60, 4, True), ((2, 2, 2, 5), 63, 4, True),
+]
+
+
+@pytest.mark.parametrize("params,s,t,checks", BENCHMARK_PATHS, ids=str)
+def test_benchmark_instances_take_their_path(params, s, t, checks,
+                                             monkeypatch):
+    taken = []
+    for name in ("subfield_subcode_from_checks", "subfield_subcode_oracle"):
+        route = getattr(subfield, name)
+        monkeypatch.setattr(subfield, name, lambda *args, route=route,
+                            name=name: taken.append(name) or route(*args))
+    curve = make_curve(*params)
+    code = subfield_subcode_of_ent(curve, s, t)
+    assert taken == ["subfield_subcode_from_checks" if checks
+                     else "subfield_subcode_oracle"]
+    assert code == oracle(curve, s, t)
 
 
 def test_oracle_words_lie_in_code_and_subfield():
@@ -484,3 +538,5 @@ def test_oracle_and_trace_code_reject_embedding_into_another_field():
     for route in (subfield_subcode_oracle, trace_code):
         with pytest.raises(FieldError, match="does not target"):
             route(code, emb)
+    with pytest.raises(FieldError, match="does not target"):
+        subfield_subcode_from_checks(NT3, 8, emb)
