@@ -102,7 +102,7 @@ def _monomial_rows(curve: CurveSpec, monos) -> list:
         if i < len(xs):  # pi_{i+1} = pi_i (x - x_i); past that, zero
             pi = [fld.mul(v, fld.sub(x, xs[i])) for v, x in zip(pi, xs)]
     return _fiber_rows(curve, monos, newton,
-                       lambda j: lambda y: fld.pow(y, j))
+                       lambda j: fld.power_list(j).__getitem__)
 
 
 def footprint_inverse_rows(curve: CurveSpec, monos) -> list:
@@ -147,8 +147,11 @@ def footprint_inverse_rows(curve: CurveSpec, monos) -> list:
               for i in {i for i, _ in monos}}
 
     def y_part(j):
-        exponents = [q ** k - 1 - j for k in range(r) if q ** k > j]
-        return lambda y: field_sum(fld, (fld.pow(y, e) for e in exponents))
+        powers = [fld.power_list(q ** k - 1 - j) for k in range(r)
+                  if q ** k > j]
+        if len(powers) > 1:
+            powers = [[field_sum(fld, terms) for terms in zip(*powers)]]
+        return powers[0].__getitem__
 
     return _fiber_rows(curve, monos, x_part, y_part)
 

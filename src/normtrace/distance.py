@@ -9,17 +9,25 @@ independent:
 * information-set enumeration (Brouwer-Zimmermann), which visits codewords
   by their weight on disjoint information sets and stops when a lower bound
   on the words not yet visited reaches the lightest word seen, and
-* smallest-dependent-set search on parity-check columns, depth first,
+* smallest-dependent-set search on parity-check columns, level by level.
+  A level w >= 3 is first tested by meeting in the middle: with no fewer
+  than w columns dependent, some w are exactly when a combination of
+  ceil(w/2) columns equals one of floor(w/2), all coefficients nonzero,
+  and a level with no such collision is proved clean without a search.
+  The level that holds the first dependent set is searched depth first,
   where each prefix is eliminated once and the last column of a subset is
   found by a lookup of the reduced columns' classes under scaling, so a
   level of w-subsets of n columns costs O(n^(w-1)) row operations.
 
 Both take explicit work budgets; exceeding a budget raises, it never
 silently truncates, and the error carries the distance bracket reached.
-The full space needs no case of its own in the parity search (see
-exact_min_distance_parity).  Both pack their words and columns as
-linalg.row_packing gives for the field, so each has one code path whatever
-the field.
+The parity search's budget counts the subsets the depth-first search
+visits, and a level proved clean is charged what the search would have
+charged it (level_cost), so its results and errors are those of the search
+on every level.  The full space needs no case of its own in the parity
+search (see exact_min_distance_parity).  Both engines, and the collision
+test, pack their words and columns as linalg.row_packing gives for the
+field, so each has one code path whatever the field.
 """
 
 from __future__ import annotations
@@ -272,7 +280,8 @@ def exact_min_distance_enum(code: LinearCode,
 
 
 def _columns(rows, n):
-    return [tuple(r[c] for r in rows) for c in range(n)]
+    """The n columns of the rows, as tuples: empty when there are no rows."""
+    return list(zip(*rows)) if rows else [()] * n
 
 
 def _first_dependent_set(cols, w, fld, spent, budget):
@@ -384,6 +393,111 @@ def _first_dependent_set(cols, w, fld, spent, budget):
     return (i,), spent + i + 1
 
 
+def level_cost(n: int, w: int) -> int:
+    """The column subsets _first_dependent_set visits on a level
+    2 <= w <= n of n columns that holds no dependent set: at each depth
+    d < w - 2 the (d + 1)-subsets of the first n - w + d + 1 columns, at
+    depth w - 2 the (w - 1)-subsets of the first n - 1, and every
+    w-subset as a leaf."""
+    return sum(comb(n - w + d + 1, d + 1) for d in range(w - 2)) + \
+        comb(n - 1, w - 1) + comb(n, w)
+
+
+# The most words the collision test stores, whatever the budget: a set of
+# 2^18 ints of 200 bits takes 21 MB.
+MEET_STORED_MAX = 1 << 18
+
+
+def _meets_in_middle(n: int, q: int, w: int) -> bool:
+    """Whether level w >= 3 of n columns over F_q is tested by meeting in
+    the middle (_has_dependent_set) once the budget left holds its whole
+    level_cost: when the words the test stores, the combinations of
+    floor(w/2) columns with nonzero coefficients, are at most
+    MEET_STORED_MAX, and n times them at most level_cost(n, w)."""
+    stored = comb(n, w // 2) * (q - 1) ** (w // 2)
+    return stored <= MEET_STORED_MAX and n * stored <= level_cost(n, w)
+
+
+def _column_multiples(rows, n, fld):
+    """The q - 1 nonzero multiples of each of the n columns of the rows,
+    the column itself first, packed as linalg.row_packing packs a row of
+    their height, and that packing."""
+    packing = row_packing(fld, len(rows))
+    keys = [packing.key(c) for c in range(1, fld.order)]
+    return [[times[c] for c in keys] for times in map(
+        packing.multiples, map(packing.pack, _columns(rows, n)))], packing
+
+
+def _has_dependent_set(mults, packing, w: int) -> bool:
+    """Whether some w columns are dependent, for columns of which no fewer
+    than w are, w >= 3: a meet in the middle between the combinations of
+    h = ceil(w/2) columns and those of w - h, every coefficient nonzero.
+    The columns come as _column_multiples gives them, and two words are
+    added with the packing's add, then reduced where adding can leave a
+    word unreduced (span not None), so that two words are equal exactly
+    when their ints are.
+
+    For odd w every combination of w - h columns is stored, and the
+    combinations of h columns whose first coefficient is 1 are looked up
+    in it.  For even w every combination of h columns goes into one set,
+    and a repeat is watched for.  The first collision ends the test.
+
+    Two combinations with different coefficient vectors that give one word
+    differ by a nonzero combination of at most w columns that is zero, so
+    those columns are dependent; as no fewer than w are, they are exactly
+    w.  Conversely a zero combination of w columns c_1 < ... < c_w, with
+    coefficients a_i, splits into its first h terms and the negated rest:
+    scaled by 1/a_1, the first is a looked-up combination and the second a
+    stored one for odd w, and both are inserted for even w, where they
+    hold different columns.
+
+    Each walk goes depth first over the columns in order, one batch of
+    words per prefix of all but the last column: the prefix's sum plus
+    each multiple of every later column.  The words of a batch are
+    distinct, as two multiples of one nonzero column differ and no two
+    columns are parallel (w >= 3), so for even w a repeat is always one
+    with a batch before.
+    """
+    n, step = len(mults), len(mults[0])
+    flat = [t for times in mults for t in times]
+    h = (w + 1) // 2
+
+    add = packing.add
+    reduce = None if packing.span is None else packing.reduce
+
+    def sums(s, terms):  # s + t for each t in terms, reduced
+        added = map(add.__get__(s), terms)  # add bound to s, as s.__xor__
+        return added if reduce is None else map(reduce, added)
+
+    def batches(size, first_one):
+        # The batches of the combinations of size columns, first_one asking
+        # for a first coefficient of 1 when size >= 2.
+        def walk(s, start, depth):
+            if depth == size - 1:
+                tail = flat[start * step:]
+                yield sums(s, tail) if depth else tail
+                return
+            for i in range(start, n - size + 1 + depth):
+                terms = mults[i][:1] if first_one and not depth else mults[i]
+                for t in sums(s, terms) if depth else terms:
+                    yield from walk(t, i + 1, depth + 1)
+        return walk(0, 0, 0)
+
+    if w % 2:
+        stored = set()
+        for words in batches(w - h, False):
+            stored.update(words)
+        return any(not stored.isdisjoint(words)
+                   for words in batches(h, True))
+    seen = set()
+    for words in batches(h, False):
+        words = list(words)
+        if not seen.isdisjoint(words):
+            return True
+        seen.update(words)
+    return False
+
+
 def _dependence_witness(cols, idxs, n, fld):
     """A codeword supported on the dependent columns (nullspace vector)."""
     sub = row_space_basis(zip(*[cols[i] for i in idxs]), fld, len(idxs))
@@ -399,20 +513,48 @@ def exact_min_distance_parity(code: LinearCode,
     """Exact minimum distance as the smallest dependent parity-column set.
 
     The columns are those of linalg.parity_check_rows: which sets of them
-    are dependent does not depend on the rows of the dual.  Level w searches
-    the w-subsets of columns in lexicographic order and returns the first
-    dependent one.  The budget counts the column subsets visited over all
-    levels, prefixes included (see _first_dependent_set).  Over the full
-    space the dual is zero, every column is the empty (zero) vector, and
-    level 1 finds column 0.
+    are dependent does not depend on the rows of the dual.  Level w finds
+    the first dependent w-subset of columns in lexicographic order, w = 1,
+    2, ...  The budget counts the column subsets the depth-first search
+    (_first_dependent_set) visits over all levels, prefixes included.  Over
+    the full space the dual is zero, every column is the empty (zero)
+    vector, and level 1 finds column 0.
+
+    Levels w >= 3 are first tested by meeting in the middle
+    (_has_dependent_set).  When level w starts, levels 1 .. w - 1 have
+    found nothing, so no fewer than w columns are dependent, and under
+    that fact a collision between the combinations of ceil(w/2) columns
+    and those of floor(w/2) is exactly a dependent w-set.  A level with no
+    collision is clean, and needs no search: it adds level_cost(n, w), the
+    count the search would charge for it, to what is spent.  A level with
+    a collision is searched, and the search gives the lexicographically
+    first dependent set and its count.  So the result, its witness, and
+    every BudgetExceeded with its message, spent and lower bound are those
+    of the search run on every level.
+
+    The test runs only when the whole level fits in the budget left, as a
+    clean level then finishes without raising, and only when the words it
+    stores, comb(n, floor(w/2)) (q - 1)^floor(w/2), are at most
+    MEET_STORED_MAX and, times n, at most level_cost(n, w)
+    (_meets_in_middle).  Otherwise the level is searched, in O(n w) memory
+    whatever the budget.
     """
     if code.k == 0:
         raise ValueError("the zero code has no minimum distance")
     fld = code.field
     n = code.n
-    cols = _columns(parity_check_rows(code), n)
+    rows = parity_check_rows(code)
+    cols = _columns(rows, n)
+    multiples = None
     spent = 0
     for w in range(1, n + 1):
+        if w >= 3 and spent + (cost := level_cost(n, w)) <= budget and \
+                _meets_in_middle(n, fld.order, w):
+            if multiples is None:
+                multiples = _column_multiples(rows, n, fld)
+            if not _has_dependent_set(*multiples, w):
+                spent += cost
+                continue
         found, spent = _first_dependent_set(cols, w, fld, spent, budget)
         if found is not None:
             witness = _dependence_witness(cols, found, n, fld)

@@ -7,14 +7,13 @@ All arithmetic goes through a FiniteField instance.  Orders are capped at
 stays far below, and every field has exp/log tables, built with it:
 multiplication, inversion and powers are table reads.  The modulus is the
 smallest irreducible one by the integer encoding of its lower
-coefficients.  The exp table holds the powers of x, the polynomial-basis
-element, stepped by the F_p-linear map "times x" (a shift of the
-coefficients, then the top one times the modulus taken off), when x
-generates the units; otherwise the powers of the smallest generator.
-`powers` reads a run of powers of one element off the exp table.  Every
-field under the cap builds, whatever its characteristic; linalg packs the
-rows of those with p <= 127 for elimination, and raises FieldError for
-the others (linalg.row_packing).
+coefficients.  The exp table holds the powers of a generator g of the
+units, x, the polynomial-basis element, when it generates them, else the
+smallest one, stepped by the F_p-linear map "times g".  `powers` reads a
+run of powers of one element off the exp table, and `power_list` one
+power of every element.  Every field under the cap builds, whatever its
+characteristic; linalg packs the rows of those with p <= 127 for
+elimination, and raises FieldError for the others (linalg.row_packing).
 
 A SubfieldEmbedding of F_t in F_{t^m} is one pair of tables, built with it:
 the image of each element of F_t, and each coordinate of each element of
@@ -27,8 +26,8 @@ FieldError for the others.
 from __future__ import annotations
 
 from functools import lru_cache, reduce
-from itertools import product
-from operator import xor
+from itertools import chain, product
+from operator import mul, xor
 
 MAX_FIELD_ORDER = 1 << 16
 
@@ -295,67 +294,79 @@ class FiniteField:
         exp, period, step = self._exp, self.order - 1, self._log[a]
         return [exp[i * step % period] for i in range(count)]
 
+    def power_list(self, n: int) -> list:
+        """[a^n for every element a], for n >= 0, read from the exp table
+        at the exponents n log(a)."""
+        exp, period = self._exp, self.order - 1
+        return [int(not n)] + [exp[i * n % period] for i in self._log[1:]]
+
     def elements(self):
         return range(self.order)
 
     # -- discrete-log tables --
 
     def _build_tables(self):
-        """exp[i] = g^i and log[g^i] = i for a generator g of the units.
-
-        When x, the polynomial-basis element, generates the units, g = x
-        and exp is stepped by the F_p-linear map "times x": every
-        coefficient moves up one place, and the one that passes degree
-        e - 1 comes back as minus itself times the modulus's lower
-        coefficients.  Otherwise (e = 1, or x of smaller order) g is the
-        smallest generator, found by search with _poly_powmod, and exp is
-        stepped by _mul_poly.  The tables differ with g, but mul, inv and
-        pow do not.
+        """exp[i] = g^i and log[g^i] = i for a generator g of the units:
+        x, the polynomial-basis element, when it generates them, else the
+        smallest generator, each candidate tested with _poly_powmod.  exp
+        is stepped by the F_p-linear map "times g" (_powers).  The tables
+        differ with g, but mul, inv and pow do not.
         """
         p, target, modulus = self.p, self.order - 1, list(self.modulus)
-        exp = self._x_powers() if self.e > 1 else None
-        if exp is None:
-            factors = _prime_factors(target) if target > 1 else []
-            for g in range(1, self.order):
-                if all(_poly_powmod(self.coeffs(g), target // f, modulus, p)
-                       != [1] for f in factors):
-                    break
-            exp, acc = [], 1
-            for _ in range(target):
-                exp.append(acc)
-                acc = self._mul_poly(acc, g)
+        factors = _prime_factors(target) if target > 1 else []
+        candidates = range(1, self.order)
+        for g in chain([p], candidates) if self.e > 1 else candidates:
+            if all(_poly_powmod(self.coeffs(g), target // f, modulus, p)
+                   != [1] for f in factors):
+                break
+        exp = self._powers(g)
         log = [0] * self.order
         for i, v in enumerate(exp):
             log[v] = i
         self._exp = exp
         self._log = log
 
-    def _x_powers(self):
-        """[x^0, ..., x^{order-2}] when x generates the units, else None."""
+    def _powers(self, g):
+        """[g^0, ..., g^(order-2)] for a generator g, stepped by the
+        F_p-linear map "times g".  Its columns, the images x^k g of the
+        basis, are stepped from g by "times x": every coefficient moves up
+        one place, and the one that passes degree e - 1 comes back as minus
+        itself times the modulus's lower coefficients.
+
+        In characteristic 2 an element's encoding is its coefficient vector
+        in bits, and times g is two table reads: the XOR sums of the images
+        over the low half of the bits and over the high half.  Above it,
+        the coefficients of a g are the dot products of a's coefficients
+        with the rows of the map's matrix, taken mod p.
+        """
         p, e, target = self.p, self.e, self.order - 1
-        exp = [1]
+        minus = [-c % p for c in self.modulus[:e]]
+        images, coeffs = [], self.coeffs(g)
+        for _ in range(e):
+            images.append(coeffs)
+            top = coeffs[-1]
+            coeffs = [(c + top * m) % p
+                      for c, m in zip([0] + coeffs[:-1], minus)]
+        exp, acc = [], 1
         if p == 2:
-            modulus, top = self.encode(self.modulus), self.order
-            acc = 2
-            while acc != 1:
+            half = e // 2
+            low, high = [0], [0]  # the XOR sums of the low and high images
+            for v in map(self.encode, images[:half]):
+                low += [w ^ v for w in low]
+            for v in map(self.encode, images[half:]):
+                high += [w ^ v for w in high]
+            mask = (1 << half) - 1
+            for _ in range(target):
                 exp.append(acc)
-                acc <<= 1
-                if acc & top:
-                    acc ^= modulus
-        else:
-            minus = [-c % p for c in self.modulus[:e]]
-            coeffs = [0, 1] + [0] * (e - 2)
-            while coeffs[0] != 1 or any(coeffs[1:]):
-                acc = 0
-                for c in reversed(coeffs):
-                    acc = acc * p + c
-                exp.append(acc)
-                high = coeffs.pop()
-                coeffs.insert(0, 0)
-                if high:
-                    coeffs = [(c + high * m) % p
-                              for c, m in zip(coeffs, minus)]
-        return exp if len(exp) == target else None
+                acc = low[acc & mask] ^ high[acc >> half]
+            return exp
+        rows = list(zip(*images))  # [i][k]: x^k g at x^i
+        places = [p ** i for i in range(e)]
+        coeffs = [1] + [0] * (e - 1)
+        for _ in range(target):
+            exp.append(sum(map(mul, coeffs, places)))
+            coeffs = [sum(map(mul, coeffs, row)) % p for row in rows]
+        return exp
 
     # -- structure --
 

@@ -2,16 +2,20 @@ import random
 import tracemalloc
 from collections import Counter
 from itertools import combinations, product
+from math import comb
 
 import pytest
 
+from normtrace import distance
 from normtrace.curves import make_curve
-from normtrace.distance import (BudgetExceeded, DistanceResult, _columns,
-                                _first_dependent_set, _information_sets,
-                                _order_bound_counts,
+from normtrace.distance import (DEFAULT_BUDGET, BudgetExceeded,
+                                DistanceResult, _column_multiples, _columns,
+                                _dependence_witness, _first_dependent_set,
+                                _has_dependent_set, _information_sets,
+                                _meets_in_middle, _order_bound_counts,
                                 exact_min_distance_enum,
                                 exact_min_distance_parity, geil_bound,
-                                is_even_weight)
+                                is_even_weight, level_cost)
 from normtrace.fields import FieldError, make_field
 from normtrace.linalg import (DigitLanes, LinearCode, kernel,
                               parity_check_rows, rank, row_packing,
@@ -651,3 +655,199 @@ def test_bound_sound_against_supercode_distances():
     for curve, s in [(NT3, 36), (NT5, 60), (NT5, 62), (NT5, 65)]:
         d = exact_min_distance_parity(build_code(curve, s)).exact
         assert geil_bound(curve, s) <= d
+
+
+def min_distance_by_levels(code, budget):
+    """exact_min_distance_parity as it was before clean levels were proved
+    by meeting in the middle: _first_dependent_set on every level in
+    turn."""
+    fld, n = code.field, code.n
+    cols = _columns(parity_check_rows(code), n)
+    spent = 0
+    for w in range(1, n + 1):
+        found, spent = _first_dependent_set(cols, w, fld, spent, budget)
+        if found is not None:
+            return DistanceResult(w, "column-dependence",
+                                  _dependence_witness(cols, found, n, fld))
+    raise AssertionError("no dependent column set in a code with k > 0")
+
+
+def parity_outcome(engine, code, budget):
+    """What a parity engine returns or raises, as comparable data."""
+    try:
+        return "found", engine(code, budget)
+    except BudgetExceeded as exc:
+        return "budget", str(exc), exc.spent, exc.budget, exc.lower, exc.upper
+    except AssertionError as exc:
+        return "internal error", str(exc)
+
+
+def level_ends(code, levels):
+    """The subsets the level-by-level search has visited at the end of each
+    of its first `levels` levels, up to the first dependent set."""
+    fld, n = code.field, code.n
+    cols = _columns(parity_check_rows(code), n)
+    ends = [0]
+    for w in range(1, min(levels, n) + 1):
+        found, spent = _first_dependent_set(cols, w, fld, ends[-1], 1 << 40)
+        ends.append(spent)
+        if found is not None:
+            break
+    return ends
+
+
+def parity_mismatches(cases):
+    """The (code, budget) pairs on which exact_min_distance_parity and the
+    level-by-level search differ, for (code, levels, every) in cases, over
+    the first `levels` levels up to the first dependent set.
+
+    The budgets are one below, at and one past the end of each level, and
+    of each level's threshold (its start plus level_cost) where the stored
+    side is small enough for the collision test to run from there on;
+    with `every`, also every budget from 0 to one past the end of the last
+    level when that end is below 120, else every (end // 60)-th."""
+    bad = []
+    for code, levels, every in cases:
+        n, q = code.n, code.field.order
+        ends = level_ends(code, levels)
+        marks = ends + [start + level_cost(n, w)
+                        for w, start in enumerate(ends[2:], 3)
+                        if _meets_in_middle(n, q, w)]
+        budgets = {b for mark in marks for b in (mark - 1, mark, mark + 1)
+                   if b >= 0}
+        if every:
+            budgets.update(range(0, ends[-1] + 2, max(1, ends[-1] // 60)))
+        for budget in sorted(budgets):
+            if parity_outcome(exact_min_distance_parity, code, budget) != \
+                    parity_outcome(min_distance_by_levels, code, budget):
+                bad.append((code, budget))
+    return bad
+
+
+# F_2 in bits, F_3 and F_9 in digit lanes, F_4, F_8 and F_16 in 8-bit lanes.
+COLLISION_FIELDS = [(2, 1), (3, 1), (2, 2), (2, 3), (3, 2), (2, 4)]
+
+
+def random_parity_cases(rng):
+    # Over F_2 and F_3 from length 11 on, where the collision test runs.
+    for p, e in COLLISION_FIELDS:
+        fld = make_field(p, e)
+        for _ in range(3):
+            n = rng.randrange(11 if fld.order < 4 else 5, 18)
+            code = random_code(rng, fld, n, rng.randrange(n // 3, n // 2 + 1))
+            if code.k:  # levels past 6 would take most of the time
+                yield code, 6, True
+
+
+def mindist_codes():
+    """The codes of the mindist benchmark workload, and the binary
+    [32,17,6], whose levels 3-5 are all proved by meeting in the middle."""
+    for params, s, t in [((2, 1, 4, 3), 36, 2), ((3, 1, 2, 4), 16, 3),
+                         ((2, 2, 2, 5), 60, 2), ((2, 1, 4, 15), 189, 2),
+                         ((2, 2, 2, 5), 60, 4), ((2, 2, 2, 5), 63, 4),
+                         ((2, 1, 4, 3), 33, 2)]:
+        yield subfield_subcode_of_ent(make_curve(*params), s, t)
+
+
+def test_collision_test_matches_search_level_by_level():
+    # Random parity-check columns over every packing of columns, and the
+    # 16-bit entries of F_512: on every level w >= 3 up to the first
+    # dependent set, the collision test finds a dependent w-set exactly
+    # when the depth-first search does.
+    rng = random.Random(113)
+    tested, levels = Counter(), Counter()
+    fields = COLLISION_FIELDS + [(2, 9), (5, 1), (7, 2)]
+    for p, e in fields:
+        fld = make_field(p, e)
+        for _ in range(12):
+            n, m = rng.randrange(6, 15), rng.randrange(3, 7)
+            rows = [[rng.randrange(fld.order) for _ in range(n)]
+                    for _ in range(m)]
+            cols = _columns(rows, n)
+            multiples = _column_multiples(rows, n, fld)
+            spent = 0
+            for w in range(1, n + 1):
+                found, spent = _first_dependent_set(cols, w, fld, spent,
+                                                    1 << 40)
+                # With at most 5000 words stored.
+                if w >= 3 and comb(n, w // 2) * \
+                        (fld.order - 1) ** (w // 2) <= 5000:
+                    assert _has_dependent_set(*multiples, w) == \
+                        (found is not None), (fld, n, m, w)
+                    tested[p, e] += 1
+                    levels[w, found is not None] += 1
+                if found is not None:
+                    break
+    assert all(tested[field] for field in fields)
+    assert all(levels[w, True] for w in (3, 4, 5))
+    assert all(levels[w, False] for w in (3, 4))
+
+
+def test_parity_matches_level_by_level_search_at_every_budget(monkeypatch):
+    # Random codes of length 5-17 over F_2, F_3, F_4, F_8, F_9 and F_16;
+    # the collision test both proves levels clean and finds dependent sets.
+    results = Counter()
+
+    def has_dependent_set(*args):
+        found = _has_dependent_set(*args)
+        results[found] += 1
+        return found
+
+    monkeypatch.setattr(distance, "_has_dependent_set", has_dependent_set)
+    assert parity_mismatches(random_parity_cases(random.Random(127))) == []
+    assert results[True] and results[False]
+
+
+def test_parity_matches_level_by_level_search_on_mindist_codes():
+    # Every level of the d = 4 and d = 6 codes, and levels 1-5 of the
+    # [27,8,11] code over F_3, whose whole search takes seconds.
+    codes = list(mindist_codes())
+    assert parity_mismatches([(code, 5 if code.field.p == 3 else 6, False)
+                              for code in codes]) == []
+    for code in codes:
+        if code.field.p == 2:
+            assert exact_min_distance_parity(code) == \
+                min_distance_by_levels(code, DEFAULT_BUDGET)
+
+
+def test_collision_test_forced_clean_is_caught(monkeypatch):
+    # A collision test that calls every level clean skips the level that
+    # holds the first dependent set; the comparison must see it.
+    monkeypatch.setattr(distance, "_has_dependent_set", lambda *args: False)
+    code = next(mindist_codes())  # [32,25,4]: level 4 takes the test
+    assert parity_mismatches([(code, 4, False)])
+
+
+def test_stored_words_are_capped_whatever_the_budget(monkeypatch):
+    # A budget of 2^60 would let n * stored <= level_cost admit level 12 of
+    # 64 binary columns, comb(64, 6) = 75 M stored words; the cap refuses
+    # it.  With the cap at 100 words, the [32,17,6] code takes the test on
+    # level 3 (32 words stored) only, and searches levels 4-6 (496 words),
+    # with the result of the search on every level.
+    assert 64 * comb(64, 6) <= level_cost(64, 12)
+    assert not _meets_in_middle(64, 2, 12)
+    tested = []
+
+    def has_dependent_set(mults, packing, w):
+        tested.append(w)
+        return _has_dependent_set(mults, packing, w)
+
+    monkeypatch.setattr(distance, "_has_dependent_set", has_dependent_set)
+    monkeypatch.setattr(distance, "MEET_STORED_MAX", 100)
+    code = list(mindist_codes())[-1]
+    assert (code.n, code.k) == (32, 17)
+    assert exact_min_distance_parity(code, 1 << 60) == \
+        min_distance_by_levels(code, 1 << 60)
+    assert tested == [3]
+
+
+def test_level_cost_counts_clean_levels():
+    # Vandermonde columns (1, a, ..., a^4) for distinct a in F_16: any five
+    # are independent, so levels 2-5 are clean.
+    fld = make_field(2, 4)
+    for n in range(2, 15):
+        cols = [tuple(fld.pow(a, i) for i in range(5)) for a in range(n)]
+        for w in range(2, min(n, 5) + 1):
+            found, spent = _first_dependent_set(cols, w, fld, 0, 1 << 40)
+            assert (found, spent) == (None, level_cost(n, w)), (n, w)
+    assert (level_cost(64, 2), level_cost(64, 3)) == (2079, 43679)

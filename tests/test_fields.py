@@ -94,8 +94,8 @@ def check_against_polynomials(fld, pairs, elements):
 def test_field_tables_match_polynomial_reference(p, e):
     """mul, inv, pow and powers against the polynomial product modulo the
     modulus, on every pair of elements: the exp/log tables are stepped by
-    "times x" when x generates the units, and by a searched generator
-    otherwise."""
+    "times g" for g = x when x generates the units, and for a searched
+    generator otherwise."""
     fld = make_field(p, e)
     elements = fld.elements()
     check_against_polynomials(
@@ -103,9 +103,10 @@ def test_field_tables_match_polynomial_reference(p, e):
 
 
 # Every accepted field has exp/log tables, up to the cap: F_32768, where x
-# generates the units, and F_63001, where the generator is searched for.
-@pytest.mark.parametrize("p,e", [(17, 2), (2, 9), (3, 6), (2, 15), (251, 2)],
-                         ids=str)
+# generates the units, and F_63001 and F_65536, where the generator is
+# searched for, as over F_2187, F_625 and F_343.
+@pytest.mark.parametrize("p,e", [(17, 2), (2, 9), (3, 6), (2, 15), (251, 2),
+                                 (2, 16), (3, 7), (5, 4), (7, 3)], ids=str)
 def test_large_field_tables_match_polynomial_reference(p, e):
     fld = make_field(p, e)
     assert sorted(fld._exp) == list(range(1, fld.order))
@@ -126,6 +127,17 @@ def test_tables_of_primitive_x_take_no_polynomial_products(monkeypatch):
     for p, e in [(2, 4), (2, 6), (3, 3), (3, 6)]:
         fld = FiniteField(p, e)
         assert fld._exp[1] == p and len(set(fld._exp)) == fld.order - 1
+
+
+def test_power_list_is_pow_of_every_element():
+    # The y tables of the Newton rows and of the footprint inverse, over
+    # fields of characteristic 2 and odd, prime and not, up to F_512: every
+    # exponent from 0 past the order, with 0^0 = 1.
+    for p, e in [(2, 1), (2, 4), (2, 9), (3, 1), (3, 3), (5, 2), (17, 2)]:
+        fld = make_field(p, e)
+        for n in [*range(fld.order + 2), 3 * fld.order - 2]:
+            assert fld.power_list(n) == [fld.pow(a, n)
+                                         for a in fld.elements()], (p, e, n)
 
 
 def test_make_field_rejects_bad_parameters():
