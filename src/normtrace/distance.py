@@ -25,9 +25,13 @@ The parity search's budget counts the subsets the depth-first search
 visits, and a level proved clean is charged what the search would have
 charged it (level_cost), so its results and errors are those of the search
 on every level.  The full space needs no case of its own in the parity
-search (see exact_min_distance_parity).  Both engines, and the collision
-test, pack their words and columns as linalg.row_packing gives for the
-field, so each has one code path whatever the field.
+search (see exact_min_distance_parity).  Both engines pack their words and
+columns as linalg.row_packing gives for the field, so each has one code
+path whatever the field.  The parity search packs the columns of the
+systematic parity checks once, from the generators and pivots, and every
+level, the collision test and the witness (a linalg.null_space of the
+dependent columns) read that one list.  A negative budget raises
+ValueError.
 """
 
 from __future__ import annotations
@@ -39,8 +43,7 @@ from math import comb
 
 from .curves import CurveSpec
 from .fields import FieldError
-from .linalg import LinearCode, kernel, parity_check_rows, row_packing, \
-    row_space_basis, rref
+from .linalg import LinearCode, entrywise, null_space, row_packing, rref
 from .monomials import footprint, footprint_paper_variant
 
 DEFAULT_BUDGET = 1 << 26
@@ -265,10 +268,13 @@ def exact_min_distance_enum(code: LinearCode,
     message weight; once a round over all forms would cost as much as
     finishing the first form, only the first form goes on.  The order bound
     is not used, so the two stay independent.  The budget counts codewords
-    visited; the witness is the first lightest word the walk meets.
+    visited, and a negative budget raises ValueError; the witness is the
+    first lightest word the walk meets.
     """
     if code.k == 0:
         raise ValueError("the zero code has no minimum distance")
+    if budget < 0:
+        raise ValueError(f"the budget {budget} is negative")
     search = _Enumeration(code, budget)
     search.run()
     return DistanceResult(exact=search.upper, method="enumeration",
@@ -279,12 +285,25 @@ def exact_min_distance_enum(code: LinearCode,
 # -- parity-column search --
 
 
-def _columns(rows, n):
-    """The n columns of the rows, as tuples: empty when there are no rows."""
-    return list(zip(*rows)) if rows else [()] * n
+def _parity_columns(code: LinearCode) -> tuple:
+    """The n columns of the systematic parity checks [-A^T | I], packed as
+    linalg.row_packing packs a row of their height n - k, and that
+    packing.  The checks have one row per column off the pivots, 1 there:
+    so the column at the t-th such column is the t-th unit vector, and
+    the column at pivot i is generator i negated, read off the pivots."""
+    fld, pivots = code.field, set(code.pivots)
+    free = [c for c in range(code.n) if c not in pivots]
+    packing = row_packing(fld, len(free))
+    cols = [0] * code.n
+    for t, c in enumerate(free):
+        cols[c] = 1 << t * packing.bits
+    for p, row in zip(code.pivots, map(entrywise(fld, fld.neg),
+                                      code.generators)):
+        cols[p] = packing.pack([row[c] for c in free])
+    return cols, packing
 
 
-def _first_dependent_set(cols, w, fld, spent, budget):
+def _first_dependent_set(cols, w, packing, spent, budget):
     """The lexicographically first w-subset of dependent columns, or None,
     and the column subsets visited so far, earlier levels' `spent` included.
 
@@ -305,10 +324,9 @@ def _first_dependent_set(cols, w, fld, spent, budget):
     Every node, prefix or leaf, counts one against the budget, in the
     order a depth-first walk visits them; the walk stops at the first
     dependent leaf, so the leaves after it are not counted.  The search
-    raises BudgetExceeded once the budget is used up.
+    raises BudgetExceeded once the budget is used up.  The columns come
+    packed, as _parity_columns gives them.
     """
-    packing = row_packing(fld, len(cols[0]))
-    cols = [packing.pack(c) for c in cols]
     eliminate, monic = packing.eliminate, packing.monic
 
     def exceeded():
@@ -418,14 +436,12 @@ def _meets_in_middle(n: int, q: int, w: int) -> bool:
     return stored <= MEET_STORED_MAX and n * stored <= level_cost(n, w)
 
 
-def _column_multiples(rows, n, fld):
-    """The q - 1 nonzero multiples of each of the n columns of the rows,
-    the column itself first, packed as linalg.row_packing packs a row of
-    their height, and that packing."""
-    packing = row_packing(fld, len(rows))
-    keys = [packing.key(c) for c in range(1, fld.order)]
-    return [[times[c] for c in keys] for times in map(
-        packing.multiples, map(packing.pack, _columns(rows, n)))], packing
+def _column_multiples(cols, packing):
+    """The q - 1 nonzero multiples of each packed column, the column
+    itself first."""
+    keys = [packing.key(c) for c in range(1, packing.fld.order)]
+    return [[times[c] for c in keys] for times in map(packing.multiples,
+                                                       cols)]
 
 
 def _has_dependent_set(mults, packing, w: int) -> bool:
@@ -498,11 +514,13 @@ def _has_dependent_set(mults, packing, w: int) -> bool:
     return False
 
 
-def _dependence_witness(cols, idxs, n, fld):
-    """A codeword supported on the dependent columns (nullspace vector)."""
-    sub = row_space_basis(zip(*[cols[i] for i in idxs]), fld, len(idxs))
-    coeffs = kernel(sub).generators[0]
-    word = [0] * n
+def _dependence_witness(cols, idxs, packing):
+    """A codeword supported on the dependent packed columns: the first
+    generator of the null space of those columns, spread over all n."""
+    sub = [packing.unpack(cols[i]) for i in idxs]
+    coeffs = null_space(list(zip(*sub)), packing.fld,
+                        len(idxs)).generators[0]
+    word = [0] * len(cols)
     for i, c in zip(idxs, coeffs):
         word[i] = c
     return tuple(word)
@@ -512,13 +530,15 @@ def exact_min_distance_parity(code: LinearCode,
                               budget: int = DEFAULT_BUDGET) -> DistanceResult:
     """Exact minimum distance as the smallest dependent parity-column set.
 
-    The columns are those of linalg.parity_check_rows: which sets of them
-    are dependent does not depend on the rows of the dual.  Level w finds
+    The columns are those of the systematic parity checks [-A^T | I],
+    packed once (_parity_columns): which sets of them are dependent does
+    not depend on the rows of the dual.  Level w finds
     the first dependent w-subset of columns in lexicographic order, w = 1,
     2, ...  The budget counts the column subsets the depth-first search
-    (_first_dependent_set) visits over all levels, prefixes included.  Over
-    the full space the dual is zero, every column is the empty (zero)
-    vector, and level 1 finds column 0.
+    (_first_dependent_set) visits over all levels, prefixes included; a
+    negative budget raises ValueError.  Over the full space the dual is
+    zero, every column is the empty (zero) vector, and level 1 finds
+    column 0.
 
     Levels w >= 3 are first tested by meeting in the middle
     (_has_dependent_set).  When level w starts, levels 1 .. w - 1 have
@@ -541,23 +561,23 @@ def exact_min_distance_parity(code: LinearCode,
     """
     if code.k == 0:
         raise ValueError("the zero code has no minimum distance")
-    fld = code.field
+    if budget < 0:
+        raise ValueError(f"the budget {budget} is negative")
     n = code.n
-    rows = parity_check_rows(code)
-    cols = _columns(rows, n)
+    cols, packing = _parity_columns(code)
     multiples = None
     spent = 0
     for w in range(1, n + 1):
         if w >= 3 and spent + (cost := level_cost(n, w)) <= budget and \
-                _meets_in_middle(n, fld.order, w):
+                _meets_in_middle(n, packing.fld.order, w):
             if multiples is None:
-                multiples = _column_multiples(rows, n, fld)
-            if not _has_dependent_set(*multiples, w):
+                multiples = _column_multiples(cols, packing)
+            if not _has_dependent_set(multiples, packing, w):
                 spent += cost
                 continue
-        found, spent = _first_dependent_set(cols, w, fld, spent, budget)
+        found, spent = _first_dependent_set(cols, w, packing, spent, budget)
         if found is not None:
-            witness = _dependence_witness(cols, found, n, fld)
+            witness = _dependence_witness(cols, found, packing)
             assert code.contains(witness)
             return DistanceResult(w, "column-dependence", witness)
     raise AssertionError("no dependent column set in a code with k > 0")

@@ -3,9 +3,9 @@
 Matrices are lists of rows; entries are integer-encoded field elements.
 A LinearCode holds its generator matrix in reduced row-echelon form, checked
 when it is built, with its pivot columns: two codes are equal as sets
-exactly when their stored matrices are equal, and kernel, contains and the
-parity search read the pivots instead of eliminating again.  A code's rows
-are `bytes` over fields of order at most 256 and tuples otherwise (see
+exactly when their stored matrices are equal, and contains and the parity
+search read the pivots instead of eliminating again.  A code's rows are
+`bytes` over fields of order at most 256 and tuples otherwise (see
 row_type), and entrywise maps every entry of such a row through one
 function: the generators' negatives, Frobenius powers, traces and subfield
 components, and build_code's scalings, all take it.
@@ -15,21 +15,25 @@ one way row_packing picks from the field: one bit per entry over F_2
 (BitRows), one lane per entry over F_4 ... F_{2^16}, 8 bits wide up to
 F_256 and 16 bits above (LaneRows), and one byte lane per F_p digit over
 odd fields with p <= 127 (DigitLanes).  The three share one set of
-methods (pack, unpack, key, lead, multiples, pivot_multiples, sweep,
+methods (pack, unpack, key, lead, multiples, pivot_multiples, pivot_row,
 eliminate, back_substitute, insert, add, reduce, scale, monic, weights),
-so rref, kernel, the distance searches and the trace pass each have one
-code path; insert, which reduces one row against an echelon basis and
-adds it there when it is independent, has its own loop in BitRows and
-DigitLanes.  A field of characteristic above 127 has no packing: two of
-its reduced digits can pass 255 in one byte lane, and row_packing raises
+so rref, the distance searches and the trace pass each have one code
+path.  A field of characteristic above 127 has no packing: two of its
+reduced digits can pass 255 in one byte lane, and row_packing raises
 FieldError for it.
 
-rref eliminates forward, then substitutes back.  Each packing clears the
-entries above the pivots its own way: an in-place test and XOR in
-characteristic 2, and one grouped sum per row over the odd digit lanes.  A
-caller that keeps only the part of the row space that vanishes before some
-column passes it as rref's `start`, and only those rows are substituted
-back.
+There is one forward elimination, insert, which reduces one row against
+an echelon basis and adds it there when it is independent; each packing
+has its own loop for it.  rref inserts its rows one at a time, then
+substitutes back, and rank only counts the rows insert takes.  Each
+packing clears the entries above the pivots its own way: an in-place test
+and XOR in characteristic 2, and one grouped sum per row over the odd
+digit lanes.  A caller that keeps only the part of the row space that
+vanishes before some column passes it as rref's `start`, and only those
+rows are substituted back.  null_space, which kernel, the subfield
+subcode's parity-check route and the parity search's witness use, reads
+the null space off one rref of the rows with their columns reversed,
+already in reduced echelon form.
 """
 
 from __future__ import annotations
@@ -52,7 +56,18 @@ class _Packing:
     leaves a word unreduced, so that `reduce` is the identity.  `key` maps
     a scalar to its key in the maps that multiples gives.  `monic` scales a
     nonzero row so that its first nonzero entry is 1, so two nonzero rows
-    are multiples of each other exactly when their monic rows are equal."""
+    are multiples of each other exactly when their monic rows are equal.
+
+    Each packing has its own loop for the two row operations.
+    insert(basis, v) reduces the row v against an echelon basis, kept as a
+    dict from each pivot column to what the packing keeps of its row, 1 at
+    the pivot (pivot_row reads the row back): the row itself in BitRows,
+    its images x^k * row in LaneRows, the map pivot_multiples gives in
+    DigitLanes.  It returns 1 if v is independent of the basis, and then v
+    joins it at its leading column, else 0 and the basis as it was.
+    eliminate(v, rows) gives each row minus the multiple of v that clears
+    its entry at the first nonzero column of v.
+    """
 
     span = None
     minus_one = 1
@@ -69,9 +84,18 @@ class _Packing:
     def reduce(v: int) -> int:
         return v
 
+    def lead(self, v: int) -> int:
+        """The column of the first nonzero entry of a nonzero row."""
+        return ((v & -v).bit_length() - 1) // self.bits
+
     def scale(self, c: int, v: int) -> int:
         """The row c * v."""
         return self.multiples(v)[self.key(c)]
+
+    def pivot_row(self, kept) -> int:
+        """The row, 1 at its pivot, that insert keeps as `kept`: the map
+        pivot_multiples gives, whose product by -1 it is."""
+        return kept[self.minus_one]
 
     def back_substitute(self, echelon: list, pivots: list) -> None:
         """Clear the entries above each pivot of an echelon form whose
@@ -85,27 +109,6 @@ class _Packing:
         """
         raise NotImplementedError
 
-    def eliminate(self, v: int, rows) -> list:
-        """Each row minus the multiple of v that clears its entry at the
-        first nonzero column of v."""
-        col = self.lead(v)
-        return self.sweep(rows, self.pivot_multiples(v, col), col)
-
-    def insert(self, basis: dict, v: int) -> int:
-        """Reduce the row v against an echelon basis, kept as a dict from
-        each pivot column to what this packing's insert keeps of its row
-        (here pivot_multiples).  1 if v is independent of the basis, and
-        then it joins it at its leading column; else 0, the basis as it
-        was."""
-        while v:
-            col = self.lead(v)
-            minus = basis.get(col)
-            if minus is None:
-                basis[col] = self.pivot_multiples(v, col)
-                return 1
-            v = self.sweep([v], minus, col)[0]
-        return 0
-
 
 class _OnFirstUse(dict):
     """The map x -> f(x), each value computed on first use."""
@@ -117,6 +120,13 @@ class _OnFirstUse(dict):
     def __missing__(self, x):
         self[x] = y = self.f(x)
         return y
+
+
+class _OnEachUse(_OnFirstUse):
+    """The map x -> f(x), each value computed on every use."""
+
+    def __missing__(self, x):
+        return self.f(x)
 
 
 _BITS = bytes.maketrans(b"\0\1", b"01")
@@ -139,11 +149,6 @@ class BitRows(_Packing):
                     .translate(_UNBITS))
 
     @staticmethod
-    def lead(v: int) -> int:
-        """The column of the first nonzero entry of a nonzero row."""
-        return (v & -v).bit_length() - 1
-
-    @staticmethod
     def multiples(v: int) -> tuple:
         """The map key(c) -> c * v."""
         return 0, v
@@ -160,23 +165,17 @@ class BitRows(_Packing):
         return 0, v
 
     @staticmethod
-    def sweep(rows, minus, col) -> list:
-        """Each row minus its entry at col times the pivot, for the map
-        minus that pivot_multiples gives."""
-        bit, v = 1 << col, minus[1]
-        return [u ^ v if u & bit else u for u in rows]
-
-    @staticmethod
     def eliminate(v: int, rows) -> list:
-        """As _Packing.eliminate, in one step: the pivot is the lowest set
-        bit of v."""
+        """Each row minus v where it has v's first nonzero entry: the
+        pivot is the lowest set bit of v."""
         bit = v & -v
         return [u ^ v if u & bit else u for u in rows]
 
     @staticmethod
     def insert(basis: dict, v: int) -> int:
-        """As _Packing.insert, keeping each basis row itself: while the
-        pivot at the lowest set bit of v is there, v is XORed with it."""
+        """Reduce v against the basis (see _Packing), keeping each basis
+        row itself: while the pivot at the lowest set bit of v is there, v
+        is XORed with it."""
         while v:
             col = (v & -v).bit_length() - 1
             pivot = basis.get(col)
@@ -185,6 +184,11 @@ class BitRows(_Packing):
                 return 1
             v ^= pivot
         return 0
+
+    @staticmethod
+    def pivot_row(kept: int) -> int:
+        """The row insert keeps: kept itself."""
+        return kept
 
     @staticmethod
     def back_substitute(echelon: list, pivots: list) -> None:
@@ -240,15 +244,52 @@ class LaneRows(_Packing):
     def unpack(self, v: int) -> list:
         return list(self.entries(v))
 
-    def lead(self, v: int) -> int:
-        """The column of the first nonzero entry of a nonzero row."""
-        return ((v & -v).bit_length() - 1) // self.bits
+    def eliminate(self, v: int, rows) -> list:
+        """Each row minus the multiple of v that clears its entry at v's
+        first nonzero column: one XOR of a product of v per row."""
+        col = self.lead(v)
+        minus, shift, mask = self.pivot_multiples(v, col), col * self.bits, \
+            self.mask
+        return [u ^ minus[u >> shift & mask] for u in rows]
 
-    def sweep(self, rows, minus, col) -> list:
-        """Each row minus its entry at col times the pivot, for the map
-        minus that pivot_multiples gives."""
-        shift, mask = col * self.bits, self.mask
-        return [v ^ minus[v >> shift & mask] for v in rows]
+    def insert(self, basis: dict, v: int) -> int:
+        """Reduce v against the basis (see _Packing), keeping for each basis
+        row its images x^k * row, k < e, with the lead and v's entry there
+        read inline: a step XORs in the images over the bits of that entry.
+
+        A pivot keeps e rows, not the products of pivot_multiples, as every
+        later row may still need it: with the products, rref of the
+        512 x 1024 build_code matrix of (2,1,10,1) at s = 511 (over
+        F_1024) peaked at 196 MB against 26 MB, and of the 363 x 1024 one
+        of (2,2,3,21) at s = 512 (over F_64) at 28 MB against 5.6 MB, in
+        0.73 s against 0.75 s and 43 ms against 29 ms (CPython 3.11.7,
+        2 vCPUs).
+        """
+        bits, mask = self.bits, self.mask
+        while v:
+            col = ((v & -v).bit_length() - 1) // bits
+            images = basis.get(col)
+            if images is None:
+                basis[col] = self._images(self.monic(v))
+                return 1
+            c = v >> col * bits & mask
+            for image in images:
+                if c & 1:
+                    v ^= image
+                c >>= 1
+        return 0
+
+    # The row insert keeps: the first of its images.
+    pivot_row = staticmethod(itemgetter(0))
+
+    def _images(self, v: int) -> list:
+        """The rows x^k * v for k < e."""
+        low, ones, poly, top = self.low, self.ones, self.poly, self.e - 1
+        images = [v]
+        for _ in range(top):
+            v = ((v & low) << 1) ^ ((v >> top & ones) * poly)
+            images.append(v)
+        return images
 
     def back_substitute(self, echelon: list, pivots: list) -> None:
         """As _Packing.back_substitute, with one in-place XOR per entry
@@ -302,11 +343,9 @@ class LaneRows(_Packing):
             return _OnFirstUse(partial(self._product, [v], a))
         if a != 1:
             v = self.scale(a, v)
-        low, ones, poly, top = self.low, self.ones, self.poly, self.e - 1
-        times = [0, v]
-        for _ in range(top):
-            v = ((v & low) << 1) ^ ((v >> top & ones) * poly)
-            times += [w ^ v for w in times]
+        times = [0]
+        for image in self._images(v):
+            times += [w ^ image for w in times]
         return times
 
     def _product(self, images: list, a: int, c: int) -> int:
@@ -457,19 +496,22 @@ class DigitLanes(_Packing):
         return int.from_bytes(
             v.to_bytes(self.nbytes, "little").translate(self.mod), "little")
 
-    def sweep(self, rows, minus, col) -> list:
-        """Each row minus its entry at col times the pivot, for the map
-        minus that pivot_multiples gives."""
-        shift, mask, nbytes, mod = col * self.bits, self.mask, self.nbytes, \
-            self.mod
-        return [int.from_bytes((v + minus[c]).to_bytes(nbytes, "little")
+    def eliminate(self, v: int, rows) -> list:
+        """Each row minus the multiple of v that clears its entry at v's
+        first nonzero column: the reduced multiple added as integers and
+        reduced with one translate, for the rows nonzero there."""
+        col = self.lead(v)
+        minus, shift, mask, nbytes, mod = self.pivot_multiples(v, col), \
+            col * self.bits, self.mask, self.nbytes, self.mod
+        return [int.from_bytes((u + minus[c]).to_bytes(nbytes, "little")
                                .translate(mod), "little")
-                if (c := v >> shift & mask) else v for v in rows]
+                if (c := u >> shift & mask) else u for u in rows]
 
     def insert(self, basis: dict, v: int) -> int:
-        """As _Packing.insert, with the lead and the key of v's entry there
-        read inline: a step adds the pivot's reduced multiple as integers
-        and reduces with one translate."""
+        """Reduce v against the basis (see _Packing), keeping the map
+        pivot_multiples gives for each basis row, with the lead and the key
+        of v's entry there read inline: a step adds the pivot's reduced
+        multiple as integers and reduces with one translate."""
         bits, mask, nbytes, mod = self.bits, self.mask, self.nbytes, self.mod
         while v:
             col = ((v & -v).bit_length() - 1) // bits
@@ -480,10 +522,6 @@ class DigitLanes(_Packing):
             v = int.from_bytes((v + minus[v >> col * bits & mask]).to_bytes(
                 nbytes, "little").translate(mod), "little")
         return 0
-
-    def lead(self, v: int) -> int:
-        """The column of the first nonzero entry of a nonzero row."""
-        return (((v & -v).bit_length() - 1) >> 3) // self.e
 
     def _times_x(self, v: int, bound: int) -> tuple:
         """x * v and a bound on its lanes, for a row v whose lanes are at
@@ -568,14 +606,21 @@ class DigitLanes(_Packing):
 
     def multiples(self, v: int, a: int = 0) -> _OnFirstUse:
         """The map key(c) -> c * v, or c * a * v for the key a of a nonzero
-        scalar, each product built on first use as the sum of
-        translate(times[c_k]) over the images x^k * a * v, one per nonzero
-        digit c_k of c.  a * v (by _scaled) and its images are built with
-        the first product: the parity search asks a pivot for no product
-        more often than not.  Every product by _scaled instead took
-        build_code on (3,1,6,1) at s = 364 (over F_729) 2.4 s against
-        2.0 s, and on (3,2,3,1) 1.35 s against 1.1 s (CPython 3.11.7,
-        2 vCPUs)."""
+        scalar, each product built on use as the sum of translate(times[c_k])
+        over the images x^k * a * v, one per nonzero digit c_k of c.  a * v
+        (by _scaled) and its images are built with the first product: the
+        parity search asks a pivot for no product more often than not.
+        Every product by _scaled instead took build_code on (3,1,6,1) at
+        s = 364 (over F_729) 2.4 s against 2.0 s, and on (3,2,3,1) 1.35 s
+        against 1.1 s (CPython 3.11.7, 2 vCPUs).
+
+        Over fields of order at most 256 the map keeps each product, at
+        most q - 1 of them.  Above, it keeps only the images, as insert
+        keeps the map of every pivot for all later rows: with each product
+        kept, rref of the 365 x 729 build_code matrices of those two
+        curves peaked at 125 and 68 MB against 21 MB, and took 2.0 and
+        1.66 s against 1.98 and 1.24 s.  Over F_9 a dense 150 x 300 rref
+        took 70 ms with the images only, against 45 ms."""
         images, times = [], self.times
 
         def product(c):
@@ -589,7 +634,7 @@ class DigitLanes(_Packing):
                     terms += 1
                 c >>= 8
             return self.reduce(w) if terms > 1 else w
-        return _OnFirstUse(product)
+        return (_OnEachUse if self.digits is None else _OnFirstUse)(product)
 
     def _scaled(self, c: int, v: int) -> int:
         """c * v for the key c of a nonzero scalar, by Horner's rule in x,
@@ -694,9 +739,8 @@ def entrywise(fld: FiniteField, f):
 def rref(rows, fld: FiniteField, start: int = 0):
     """Reduced row-echelon form. Returns (nonzero rows, pivot columns).
 
-    The rows are packed as row_packing gives, grouped by leading column and
-    eliminated forward, touching only the rows with a nonzero entry in the
-    pivot column, then substituted back.
+    The rows are packed as row_packing gives and inserted one at a time
+    into an echelon basis (packing.insert), then substituted back.
 
     With start > 0 the result is the reduced echelon basis of the vectors
     of the row space that vanish before column start, restricted to the
@@ -712,36 +756,27 @@ def rref(rows, fld: FiniteField, start: int = 0):
     if not 0 <= start <= len(rows[0]):
         raise ValueError(f"start {start} is outside 0 .. {len(rows[0])}")
     packing = row_packing(fld, len(rows[0]))
-    by_lead = {}
-    for row in rows:
-        v = packing.pack(row)
-        if v:
-            by_lead.setdefault(packing.lead(v), []).append(v)
-    echelon, pivots = [], []
-    for col in range(packing.width):
-        if not by_lead:
-            break
-        group = by_lead.pop(col, None)
-        if group is None:
-            continue
-        minus = packing.pivot_multiples(group[0], col)
-        for v in packing.sweep(group[1:], minus, col):
-            if v:
-                by_lead.setdefault(packing.lead(v), []).append(v)
-        echelon.append(minus[packing.minus_one])
-        pivots.append(col)
+    basis = {}
+    for v in map(packing.pack, rows):
+        packing.insert(basis, v)
+    pivots = sorted(basis)
+    cut, shift = bisect_left(pivots, start), start * packing.bits
+    echelon = [packing.pivot_row(basis[col]) >> shift for col in pivots[cut:]]
+    pivots = [col - start for col in pivots[cut:]]
     if start:
-        cut = bisect_left(pivots, start)
-        pivots = [col - start for col in pivots[cut:]]
-        shift = start * packing.bits
-        echelon = [v >> shift for v in echelon[cut:]]
         packing = row_packing(fld, packing.width - start)
     packing.back_substitute(echelon, pivots)
     return [packing.unpack(v) for v in echelon], pivots
 
 
 def rank(rows, fld: FiniteField) -> int:
-    return len(rref(rows, fld)[0])
+    """The rank of the rows: the rows that packing.insert takes, with no
+    back substitution."""
+    rows = list(rows)
+    if not rows:
+        return 0
+    packing = row_packing(fld, len(rows[0]))
+    return sum(map(partial(packing.insert, {}), map(packing.pack, rows)))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -817,25 +852,39 @@ def row_space_basis(rows, fld: FiniteField, n: int) -> LinearCode:
     return LinearCode(fld, n, rref(rows, fld)[0])
 
 
-def parity_check_rows(code: LinearCode) -> list:
-    """A parity-check matrix in systematic form, [-A^T | I] up to column
-    order: for each column c off the pivots, the row that is 1 at c, minus
-    generator i's entry at c at pivot i, and 0 elsewhere."""
-    fld, n = code.field, code.n
-    negated = list(map(entrywise(fld, fld.neg), code.generators))
-    out = []
-    for c in sorted(set(range(n)).difference(code.pivots)):
-        vec = [0] * n
-        vec[c] = 1
-        for row, pc in zip(negated, code.pivots):
-            vec[pc] = row[c]
-        out.append(vec)
-    return out
+def null_space(rows, fld: FiniteField, n: int) -> LinearCode:
+    """The code of the vectors of length n orthogonal to every row.
+
+    The rows are eliminated once with their columns reversed.  Read in the
+    original order, that gives rows h_p whose last nonzero entry is a 1 at
+    p, for p in a set R, and that are 0 at R's other members.  A vector x
+    is orthogonal to them all exactly when x_p = -sum_f h_p[f] x_f for each
+    p in R, the sum over the f outside R, so the null space is spanned by
+    g_f = e_f - sum_p h_p[f] e_p for f outside R.  h_p[f] is nonzero only
+    for f < p, so g_f leads with its 1 at f and is 0 at the other f's:
+    these rows are the reduced echelon basis as they are.  They are read
+    as the rows f of an n x n buffer whose column p is -h_p, written with
+    one slice assignment per p, and whose diagonal is 1.  Read so, the
+    [128, 107] binary subcode of (2,1,4,15) at s = 189 took 0.45 ms
+    from the echelon form, against 0.92 ms for a transposition by zip
+    (CPython 3.11.7, 2 vCPUs).
+    """
+    rows = [row[::-1] for row in rows]
+    if any(len(row) != n for row in rows):
+        raise ValueError(f"a row does not have length {n}")
+    echelon, pivots = rref(rows, fld)
+    kind, negate = row_type(fld), entrywise(fld, fld.neg)
+    words = bytearray(n * n) if kind is bytes else [0] * (n * n)
+    for p, row in zip(pivots, echelon):
+        words[n - 1 - p::n] = negate(kind(row[::-1]))
+    words[::n + 1] = [1] * n
+    outside = sorted(set(range(n)).difference(n - 1 - p for p in pivots))
+    return LinearCode(fld, n, [words[f * n:(f + 1) * n] for f in outside])
 
 
 def kernel(code: LinearCode) -> LinearCode:
     """The dual code: all vectors orthogonal to every generator."""
-    return row_space_basis(parity_check_rows(code), code.field, code.n)
+    return null_space(code.generators, code.field, code.n)
 
 
 def matrix_product_is_zero(a_rows, b_rows, fld: FiniteField) -> bool:

@@ -20,14 +20,14 @@ subfield_subcode_of_ent, which gives the generators of NT_u(s)|F_t, takes
 the oracle only for codes of low rate.  When m(n - k) <= 2k it reads the
 subcode from the n - k parity checks of NT_u(s) instead: the columns of
 the inverse of the footprint evaluation matrix at the monomials of weight
-above s, which have a closed form (codes.footprint_inverse_rows).  Their
-m(n - k) F_t-components are eliminated once over F_t, and the null space
-is read off that echelon form already in reduced echelon form
-(subfield_subcode_from_checks): no elimination over F_{q^r}, no
-build_code.  The rule is a constant set from measured crossovers.  Both
-paths give the one canonical basis, and the check path reads no dual
-weight, trace or normal form, so it stays independent of the Groebner
-route.
+above s, which have a closed form (codes.footprint_inverse_rows).  The
+null space over F_t of their m(n - k) F_t-components is the subcode, and
+linalg.null_space reads it off one elimination of them, already in
+reduced echelon form (subfield_subcode_from_checks): no elimination over
+F_{q^r}, no build_code.  The rule is a constant set from measured
+crossovers.  Both paths give the one canonical basis, and the check path
+reads no dual weight, trace or normal form, so it stays independent of
+the Groebner route.
 
 The Groebner route answers every s of a curve from one pass per (curve, t)
 in weight order (trace_span): each new normal form is a row of the curve's
@@ -53,7 +53,8 @@ from .codes import build_code, dual_weight, footprint_inverse_rows, \
 from .curves import CurveSpec
 from .fields import FieldError, SubfieldEmbedding, embedding, \
     subfield_of_order
-from .linalg import LinearCode, entrywise, row_space_basis, row_type, rref
+from .linalg import LinearCode, entrywise, null_space, row_space_basis, \
+    row_type, rref
 from .monomials import footprint, footprint_weights, monomials_up_to
 from .reduction import _x_exponent, _y_exponent, normal_form_table
 
@@ -318,35 +319,18 @@ def subfield_subcode_from_checks(curve: CurveSpec, s: int,
     A word w of F_t^n satisfies a check h over F_{q^r} exactly when it
     satisfies each of its m components over F_t: sum_P h_P w_P has
     component c equal to sum_P h_{P,c} w_P, as w_P lies in F_t.  The
-    m(n - k) component rows are eliminated with the points in reverse
-    order, which gives rows h_p whose last nonzero entry is a 1 at p, for
-    p in a set R, and that are 0 at R's other members.  The null space is
-    then spanned by g_f = e_f - sum_p h_p[f] e_p for f outside R: h_p[f] is
-    nonzero only for f < p, so g_f leads with its 1 at f and is 0 at the
-    other f's, and these rows are already the reduced echelon basis.
+    m(n - k) component rows go to linalg.null_space, which eliminates them
+    once and reads the canonical basis off that echelon form.
     """
     if emb.big != curve.field:
         raise FieldError("embedding does not target the curve's field")
     footprint_is_basis(curve)
-    n, small = curve.n, emb.small
-    kind = row_type(small)
     checks = footprint_inverse_rows(
         curve, footprint(curve)[len(monomials_up_to(curve, s)):])
     components = [entrywise(curve.field, comp.__getitem__)
                   for comp in emb.components]
-    echelon, pivots = rref([part(h[::-1]) for h in checks
-                            for part in components], small)
-    # Row c of words is e_c - sum_p h_p[c] e_p: column p is -h_p, and the
-    # rows c outside R, with their 1 at c, are the g_f.
-    words = bytearray(n * n) if kind is bytes else [0] * (n * n)
-    negate = entrywise(small, small.neg)
-    for p, row in zip(pivots, echelon):
-        words[n - 1 - p::n] = negate(kind(row[::-1]))
-    outside = set(range(n)).difference(n - 1 - p for p in pivots)
-    for f in outside:
-        words[f * n + f] = 1
-    return LinearCode(small, n, [words[f * n:(f + 1) * n]
-                                 for f in sorted(outside)])
+    return null_space([part(h) for h in checks for part in components],
+                      emb.small, curve.n)
 
 
 # subfield_subcode_of_ent takes the checks when m(n - k) <= 2k: their one

@@ -9,17 +9,17 @@ import pytest
 from normtrace import distance
 from normtrace.curves import make_curve
 from normtrace.distance import (DEFAULT_BUDGET, BudgetExceeded,
-                                DistanceResult, _column_multiples, _columns,
+                                DistanceResult, _column_multiples,
                                 _dependence_witness, _first_dependent_set,
                                 _has_dependent_set, _information_sets,
                                 _meets_in_middle, _order_bound_counts,
+                                _parity_columns,
                                 exact_min_distance_enum,
                                 exact_min_distance_parity, geil_bound,
                                 is_even_weight, level_cost)
 from normtrace.fields import FieldError, make_field
-from normtrace.linalg import (DigitLanes, LinearCode, kernel,
-                              parity_check_rows, rank, row_packing,
-                              row_space_basis, rref)
+from normtrace.linalg import (DigitLanes, LinearCode, kernel, rank,
+                              row_packing, row_space_basis, rref)
 from normtrace.monomials import footprint, footprint_paper_variant, weight
 from normtrace.subfield import subfield_subcode_of_ent
 
@@ -350,6 +350,20 @@ def test_budget_errors():
         assert (info.value.spent, info.value.lower) == (budget, lower)
 
 
+def test_negative_budget_is_rejected():
+    # The code has the weight-1 word (0, 1, 0, 0): at budget -1 the parity
+    # search's level 1 would scan columns 0 .. n - 2 and find column 1.
+    code = row_space_basis([[0, 1, 0, 0], [0, 0, 1, 1]], F2, 4)
+    assert exact_min_distance_parity(code, budget=2).exact == 1
+    ternary = random_code(random.Random(5), make_field(3, 1), 6, 3)
+    for engine in (exact_min_distance_enum, exact_min_distance_parity):
+        for c in (code, ternary):
+            for budget in (-1, -3):
+                with pytest.raises(ValueError,
+                                   match=f"budget {budget} is negative"):
+                    engine(c, budget=budget)
+
+
 def test_budgets_raise_never_truncate():
     # At every budget an engine either finds d or raises with d inside the
     # bracket it reports.
@@ -422,12 +436,10 @@ def test_parity_first_dependent_set_matches_bruteforce():
         assert exact_min_distance_parity(codes[-1]).exact == 1
 
 
-def first_dependent_set_by_elimination(cols, w, fld, spent, budget):
+def first_dependent_set_by_elimination(cols, w, packing, spent, budget):
     """_first_dependent_set as it was before the last level became a class
     lookup: every leaf column is eliminated against the last prefix column,
     and a leaf is dependent when it reduces to zero."""
-    packing = row_packing(fld, len(cols[0]))
-    cols = [packing.pack(c) for c in cols]
     eliminate = packing.eliminate
 
     def exceeded():
@@ -467,10 +479,18 @@ def first_dependent_set_by_elimination(cols, w, fld, spent, budget):
     return search(0, cols, 0), spent
 
 
-def dependent_set_outcome(search, cols, w, fld, spent, budget):
+def packed_columns(fld, cols):
+    """The columns packed as row_packing packs a row of their height, and
+    that packing."""
+    cols = list(cols)
+    packing = row_packing(fld, len(cols[0]))
+    return [packing.pack(col) for col in cols], packing
+
+
+def dependent_set_outcome(search, cols, w, packing, spent, budget):
     """What one level of a search returns or raises, as comparable data."""
     try:
-        return "found", search(cols, w, fld, spent, budget)
+        return "found", search(cols, w, packing, spent, budget)
     except BudgetExceeded as exc:
         return "budget", str(exc), exc.spent, exc.budget, exc.lower, exc.upper
     except AssertionError as exc:
@@ -509,20 +529,20 @@ def test_last_level_lookup_matches_elimination_on_codes():
             hrows = kernel(code).generators
             if not hrows:
                 continue
-            cols = _columns(hrows, n)
+            cols, packing = packed_columns(fld, zip(*hrows))
             spent = 0
             for w in range(1, n + 1):
-                found, after = _first_dependent_set(cols, w, fld, spent,
+                found, after = _first_dependent_set(cols, w, packing, spent,
                                                     1 << 40)
                 assert (found, after) == first_dependent_set_by_elimination(
-                    cols, w, fld, spent, 1 << 40), (fld, w)
+                    cols, w, packing, spent, 1 << 40), (fld, w)
                 # Every budget that stops inside this level, or just
                 # lets it finish.
                 for budget in range(spent, after + 2):
                     assert dependent_set_outcome(
-                        _first_dependent_set, cols, w, fld, spent,
+                        _first_dependent_set, cols, w, packing, spent,
                         budget) == dependent_set_outcome(
-                        first_dependent_set_by_elimination, cols, w, fld,
+                        first_dependent_set_by_elimination, cols, w, packing,
                         spent, budget), (fld, w, budget)
                 spent = after
                 if found is not None:
@@ -537,27 +557,29 @@ def test_last_level_lookup_matches_elimination_on_shaped_columns():
     for p, e in LOOKUP_FIELDS:
         fld = make_field(p, e)
         for cols in shaped_columns(rng, fld, 9):
+            cols, packing = packed_columns(fld, cols)
             for w in range(1, 5):
                 full = dependent_set_outcome(
-                    first_dependent_set_by_elimination, cols, w, fld, 3,
+                    first_dependent_set_by_elimination, cols, w, packing, 3,
                     1 << 40)
                 assert dependent_set_outcome(
-                    _first_dependent_set, cols, w, fld, 3, 1 << 40) == full
+                    _first_dependent_set, cols, w, packing, 3, 1 << 40) == \
+                    full
                 # Up to one past the budget the level takes, or past the
                 # dependent prefix.
                 last = full[1][1] if full[0] == "found" else 30
                 for budget in range(3, last + 2):
                     outcome = dependent_set_outcome(
-                        _first_dependent_set, cols, w, fld, 3, budget)
+                        _first_dependent_set, cols, w, packing, 3, budget)
                     assert outcome == dependent_set_outcome(
-                        first_dependent_set_by_elimination, cols, w, fld, 3,
-                        budget), (fld, w, budget)
+                        first_dependent_set_by_elimination, cols, w, packing,
+                        3, budget), (fld, w, budget)
                     outcomes.add(outcome[0])
     assert outcomes == {"found", "budget", "dependent prefix"}
 
 
 def test_systematic_parity_columns_match_canonical_dual():
-    # The parity search reads the columns of the systematic rows
+    # The parity search reads the packed columns of the systematic rows
     # [-A^T | I]; the canonical dual's columns give every outcome alike,
     # level by level up to one past the first dependent set, and at every
     # budget from a level's start to one past its end.
@@ -574,22 +596,22 @@ def test_systematic_parity_columns_match_canonical_dual():
             codes.append(kernel(row_space_basis(zip(*cols), fld, 9)))
         for code in codes:
             n = code.n
-            systematic = parity_check_rows(code)
-            if not systematic:
+            if code.k == n:  # no parity checks
                 continue
-            cols = _columns(systematic, n)
-            canonical = _columns(kernel(code).generators, n)
+            cols, packing = _parity_columns(code)
+            canonical = [packing.pack(col)
+                         for col in zip(*kernel(code).generators)]
             spent, last = 0, n
             for w in range(1, last + 1):
                 full = dependent_set_outcome(_first_dependent_set, cols, w,
-                                             fld, spent, 1 << 40)
+                                             packing, spent, 1 << 40)
                 # Past the first dependent set, a prefix is dependent.
                 end = full[1][1] if full[0] == "found" else spent + 30
                 for budget in [*range(spent, end + 2), 1 << 40]:
                     outcome = dependent_set_outcome(
-                        _first_dependent_set, cols, w, fld, spent, budget)
+                        _first_dependent_set, cols, w, packing, spent, budget)
                     assert outcome == dependent_set_outcome(
-                        _first_dependent_set, canonical, w, fld, spent,
+                        _first_dependent_set, canonical, w, packing, spent,
                         budget), (fld, w, budget)
                     outcomes.add(outcome[0])
                 if w == last:
@@ -661,14 +683,13 @@ def min_distance_by_levels(code, budget):
     """exact_min_distance_parity as it was before clean levels were proved
     by meeting in the middle: _first_dependent_set on every level in
     turn."""
-    fld, n = code.field, code.n
-    cols = _columns(parity_check_rows(code), n)
+    cols, packing = _parity_columns(code)
     spent = 0
-    for w in range(1, n + 1):
-        found, spent = _first_dependent_set(cols, w, fld, spent, budget)
+    for w in range(1, code.n + 1):
+        found, spent = _first_dependent_set(cols, w, packing, spent, budget)
         if found is not None:
             return DistanceResult(w, "column-dependence",
-                                  _dependence_witness(cols, found, n, fld))
+                                  _dependence_witness(cols, found, packing))
     raise AssertionError("no dependent column set in a code with k > 0")
 
 
@@ -685,11 +706,11 @@ def parity_outcome(engine, code, budget):
 def level_ends(code, levels):
     """The subsets the level-by-level search has visited at the end of each
     of its first `levels` levels, up to the first dependent set."""
-    fld, n = code.field, code.n
-    cols = _columns(parity_check_rows(code), n)
+    cols, packing = _parity_columns(code)
     ends = [0]
-    for w in range(1, min(levels, n) + 1):
-        found, spent = _first_dependent_set(cols, w, fld, ends[-1], 1 << 40)
+    for w in range(1, min(levels, code.n) + 1):
+        found, spent = _first_dependent_set(cols, w, packing, ends[-1],
+                                            1 << 40)
         ends.append(spent)
         if found is not None:
             break
@@ -763,16 +784,16 @@ def test_collision_test_matches_search_level_by_level():
             n, m = rng.randrange(6, 15), rng.randrange(3, 7)
             rows = [[rng.randrange(fld.order) for _ in range(n)]
                     for _ in range(m)]
-            cols = _columns(rows, n)
-            multiples = _column_multiples(rows, n, fld)
+            cols, packing = packed_columns(fld, zip(*rows))
+            multiples = _column_multiples(cols, packing)
             spent = 0
             for w in range(1, n + 1):
-                found, spent = _first_dependent_set(cols, w, fld, spent,
+                found, spent = _first_dependent_set(cols, w, packing, spent,
                                                     1 << 40)
                 # With at most 5000 words stored.
                 if w >= 3 and comb(n, w // 2) * \
                         (fld.order - 1) ** (w // 2) <= 5000:
-                    assert _has_dependent_set(*multiples, w) == \
+                    assert _has_dependent_set(multiples, packing, w) == \
                         (found is not None), (fld, n, m, w)
                     tested[p, e] += 1
                     levels[w, found is not None] += 1
@@ -846,8 +867,9 @@ def test_level_cost_counts_clean_levels():
     # are independent, so levels 2-5 are clean.
     fld = make_field(2, 4)
     for n in range(2, 15):
-        cols = [tuple(fld.pow(a, i) for i in range(5)) for a in range(n)]
+        cols, packing = packed_columns(
+            fld, [[fld.pow(a, i) for i in range(5)] for a in range(n)])
         for w in range(2, min(n, 5) + 1):
-            found, spent = _first_dependent_set(cols, w, fld, 0, 1 << 40)
+            found, spent = _first_dependent_set(cols, w, packing, 0, 1 << 40)
             assert (found, spent) == (None, level_cost(n, w)), (n, w)
     assert (level_cost(64, 2), level_cost(64, 3)) == (2079, 43679)

@@ -5,8 +5,8 @@ import pytest
 from normtrace.fields import FieldError, make_field
 from normtrace.linalg import (BitRows, DigitLanes, LaneRows,
                               LinearCode, entrywise, kernel,
-                              matrix_product_is_zero, rank, row_packing,
-                              row_space_basis, row_type, rref)
+                              matrix_product_is_zero, null_space, rank,
+                              row_packing, row_space_basis, row_type, rref)
 
 F2 = make_field(2, 1)
 F4 = make_field(2, 2)
@@ -92,6 +92,52 @@ def test_kernel_extremes():
     assert kernel(zero).k == 2
 
 
+def reference_null_space(rows, fld, n):
+    """The reduced echelon basis of the vectors orthogonal to the rows,
+    from the per-entry reference: e_f minus the reference form's entries
+    at column f, placed at their pivots, for each column f off the pivots,
+    brought to reduced echelon form."""
+    reduced, pivots = reference_rref(rows, fld)
+    spanning = []
+    for f in sorted(set(range(n)).difference(pivots)):
+        vec = [0] * n
+        vec[f] = 1
+        for row, col in zip(reduced, pivots):
+            vec[col] = fld.neg(row[f])
+        spanning.append(vec)
+    return reference_rref(spanning, fld)[0]
+
+
+@pytest.mark.parametrize("p,e", [(2, 1), (2, 2), (2, 4), (3, 1), (3, 2),
+                                 (2, 9), (3, 6)], ids=str)
+def test_null_space_matches_reference(p, e):
+    """null_space over F_2, F_4, F_16, F_3, F_9, F_512 and F_729: the
+    reference basis, k = n - rank, and every generator orthogonal to every
+    row, on no rows, zero rows, dependent rows, full rank and n = 1."""
+    fld = make_field(p, e)
+    rng = random.Random(fld.order + 4)
+
+    def rand(nrows, n):
+        return [[rng.randrange(fld.order) for _ in range(n)]
+                for _ in range(nrows)]
+    base = rand(3, 9)
+    cases = [([], 5), ([[0] * 6] * 3, 6), ([[0]], 1), ([[1]], 1),
+             ([[fld.order - 1]] * 2, 1), (rand(2, 8), 8), (rand(8, 8), 8),
+             (rand(11, 7), 7),
+             ([base[i % 3] for i in range(6)] +
+              [scale_row(fld, rng.randrange(1, fld.order), base[1])], 9),
+             ([[0] * 4 + row[4:] for row in rand(3, 12)], 12)]
+    for rows, n in cases:
+        space = null_space(rows, fld, n)
+        assert [list(row) for row in space.generators] == \
+            reference_null_space(rows, fld, n), (rows, n)
+        assert space.k == n - len(reference_rref(rows, fld)[0])
+        assert all(dot(fld, g, row) == 0
+                   for g in space.generators for row in rows)
+    with pytest.raises(ValueError, match="length 3"):
+        null_space([[1, 0]], fld, 3)
+
+
 def test_codeword_and_contains():
     c = row_space_basis([[1, 0, 1], [0, 1, 1]], F2, 3)
     assert c.pivots == (0, 1)
@@ -169,10 +215,11 @@ def test_rref_matches_per_entry_reference():
 
 def test_insert_matches_rref_on_every_packing():
     """Rows inserted one at a time into an echelon basis, on every packing:
-    BitRows and DigitLanes with their own insert (e = 1 and e > 1), LaneRows
-    with the shared one.  The 1s returned add up to the rank, the basis's
-    pivot columns are rref's, and a zero row returns 0 and leaves the
-    basis as it was."""
+    BitRows, LaneRows (8- and 16-bit lanes) and DigitLanes (e = 1 and
+    e > 1), each with its own insert.  The 1s returned add up to the rank,
+    the basis's pivot columns are those of the per-entry reference, each
+    basis row is 1 at its pivot and 0 before it, and a zero row returns 0
+    and leaves the basis as it was."""
     rng = random.Random(67)
     for p, e in KERNEL_FIELDS:
         fld = make_field(p, e)
@@ -183,9 +230,12 @@ def test_insert_matches_rref_on_every_packing():
             basis = {}
             taken = sum(packing.insert(basis, packing.pack(row))
                         for row in rows)
-            reduced, pivots = rref(rows, fld)
+            reduced, pivots = reference_rref(rows, fld)
             assert taken == len(reduced), (p, e)
             assert sorted(basis) == pivots, (p, e)
+            for col, kept in basis.items():
+                row = packing.unpack(packing.pivot_row(kept))
+                assert row[:col + 1] == [0] * col + [1], (p, e)
             before = dict(basis)
             assert packing.insert(basis, 0) == 0
             assert basis.keys() == before.keys() and \

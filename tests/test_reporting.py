@@ -468,6 +468,17 @@ def test_cli_budget_exit(capsys):
     assert "d in [2, 4]" in err
 
 
+@pytest.mark.parametrize("method", ["enum", "parity"])
+def test_cli_negative_budget_is_invalid(method, capsys):
+    rc = main(["mindist", "--p", "2", "--l", "1", "--r", "4", "--u", "3",
+               "--s", "36", "--t", "2", "--method", method,
+               "--budget", "-5"])
+    assert rc == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "invalid parameters: the budget -5 is negative\n"
+
+
 @pytest.mark.parametrize("method,name", [("enum", "enumeration"),
                                          ("parity", "column-dependence")])
 def test_cli_mindist_json(method, name, capsys):
