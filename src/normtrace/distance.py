@@ -19,6 +19,11 @@ independent:
   found by a lookup of the reduced columns' classes under scaling, so a
   level of w-subsets of n columns costs O(n^(w-1)) row operations.
 
+The enumeration's rounds and both sides of the collision test are one walk,
+_walk: depth first over the sums of a number of rows with nonzero
+coefficients, given as each row's nonzero multiples (_column_multiples),
+with one callback per prefix of all but the last row.
+
 Both take explicit work budgets; exceeding a budget raises, it never
 silently truncates, and the error carries the distance bracket reached.
 The parity search's budget counts the subsets the depth-first search
@@ -156,6 +161,57 @@ def _information_sets(code: LinearCode) -> list:
     return forms
 
 
+# -- sums of rows, for both exact algorithms --
+
+
+def _column_multiples(cols, packing):
+    """The q - 1 nonzero multiples of each packed row or column, the row
+    itself first."""
+    keys = [packing.key(c) for c in range(1, packing.fld.order)]
+    return [[times[c] for c in keys] for times in map(packing.multiples,
+                                                       cols)]
+
+
+def _walk(flat, step: int, count: int, size: int, first_one: bool,
+          packing, visit) -> bool:
+    """Go depth first over the sums of `size` of `count` rows, every
+    coefficient nonzero, and the first one 1 when first_one.
+
+    `flat` holds the step nonzero multiples of each row in turn, the row
+    itself first, as _column_multiples gives them flattened.  The rows
+    are taken in order, and each prefix of size - 1 of them adds one of
+    its multiples at a time; visit(s, tail) is called once per prefix,
+    with s its sum and tail the multiples of every later row, so that the
+    words visited are s + t for t in tail.  The walk stops, and returns
+    True, as soon as a visit returns True.  A prefix's sum is reduced
+    (packing.reduce) once it holds `span` additions since it last was,
+    never when span is None, so that s + t stays in range; s + t itself
+    is not reduced.
+    """
+    add, span, reduce = packing.add, packing.span, packing.reduce
+
+    def down(s, start, depth, fresh):
+        if fresh == span:
+            s, fresh = reduce(s), 0
+        if depth == size - 1:
+            return visit(s, flat[start * step:])
+        for i in range(start, count - (size - 1 - depth)):
+            for t in flat[i * step:(i + 1) * step]:
+                if down(add(s, t), i + 1, depth + 1, fresh + 1):
+                    return True
+        return False
+
+    if size == 1:
+        return visit(0, flat[::step] if first_one else flat)
+    # The first row of a sum is a multiple as it is, reduced.
+    first = 1 if first_one else step
+    for i in range(count - size + 1):
+        for t in flat[i * step:i * step + first]:
+            if down(t, i + 1, 1, 0):
+                return True
+    return False
+
+
 class _Enumeration:
     """One information-set enumeration: the systematic forms as packed
     words, the lightest word seen (the upper bound), the lower bound on
@@ -201,36 +257,19 @@ class _Enumeration:
         """Visit every word of message weight w in one systematic form.
 
         `form` holds the rows and, from round 2 on, the nonzero multiples
-        of row i at i * (q - 1) onward.  The first nonzero coefficient is
-        1: the other multiples of a word have its weight.  Each step of the
-        depth-first walk over the message supports adds one multiple of a
-        row.  Returns True once the lightest word seen is no heavier than
-        the lower bound.
+        of row i at i * (q - 1) onward (_column_multiples), built in the
+        first round that needs them.  The first nonzero coefficient is 1:
+        the other multiples of a word have its weight.  Returns True once
+        the lightest word seen is no heavier than the lower bound.
         """
-        packing, w, k, step = self.packing, self.w, self.k, self.step
-        add, span = packing.add, packing.span
         rows, flat = form
-        if flat is None and w > 1:
-            keys = [packing.key(c) for c in range(1, step + 1)]
-            form[1] = flat = []
-            for v in rows:
-                times = packing.multiples(v)
-                flat += [times[c] for c in keys]
-
-        def walk(s, start, depth, fresh):
-            if fresh == span:
-                s, fresh = packing.reduce(s), 0
-            if depth == w - 1:
-                return self._leaves(s, flat[start * step:] if depth
-                                    else rows[start:])
-            for i in range(start, k - (w - 1 - depth)):
-                for t in flat[i * step:(i + 1) * step] if depth \
-                        else rows[i:i + 1]:
-                    if walk(add(s, t), i + 1, depth + 1, fresh + 1):
-                        return True
-            return False
-
-        return walk(0, 0, 0, 0)
+        if self.w == 1:
+            return self._leaves(0, rows)
+        if flat is None:
+            form[1] = flat = [t for times in _column_multiples(
+                rows, self.packing) for t in times]
+        return _walk(flat, self.step, self.k, self.w, True, self.packing,
+                     self._leaves)
 
     def _leaves(self, s, tail: list) -> bool:
         """Visit the words s + t for t in tail, which is never empty."""
@@ -436,14 +475,6 @@ def _meets_in_middle(n: int, q: int, w: int) -> bool:
     return stored <= MEET_STORED_MAX and n * stored <= level_cost(n, w)
 
 
-def _column_multiples(cols, packing):
-    """The q - 1 nonzero multiples of each packed column, the column
-    itself first."""
-    keys = [packing.key(c) for c in range(1, packing.fld.order)]
-    return [[times[c] for c in keys] for times in map(packing.multiples,
-                                                       cols)]
-
-
 def _has_dependent_set(mults, packing, w: int) -> bool:
     """Whether some w columns are dependent, for columns of which no fewer
     than w are, w >= 3: a meet in the middle between the combinations of
@@ -467,51 +498,39 @@ def _has_dependent_set(mults, packing, w: int) -> bool:
     stored one for odd w, and both are inserted for even w, where they
     hold different columns.
 
-    Each walk goes depth first over the columns in order, one batch of
-    words per prefix of all but the last column: the prefix's sum plus
-    each multiple of every later column.  The words of a batch are
-    distinct, as two multiples of one nonzero column differ and no two
-    columns are parallel (w >= 3), so for even w a repeat is always one
-    with a batch before.
+    Both sides are walked by _walk, one batch of words per prefix of all
+    but the last column: the prefix's sum plus each multiple of every
+    later column.  The words of a batch are distinct, as two multiples of
+    one nonzero column differ and no two columns are parallel (w >= 3), so
+    for even w a repeat is always one with a batch before.
     """
     n, step = len(mults), len(mults[0])
     flat = [t for times in mults for t in times]
     h = (w + 1) // 2
-
     add = packing.add
     reduce = None if packing.span is None else packing.reduce
 
-    def sums(s, terms):  # s + t for each t in terms, reduced
-        added = map(add.__get__(s), terms)  # add bound to s, as s.__xor__
+    def words(s, tail):  # s + t for each t in tail, reduced
+        if not s:  # 0 + t = t, and the multiples are reduced
+            return tail
+        added = map(add.__get__(s), tail)  # add bound to s, as s.__xor__
         return added if reduce is None else map(reduce, added)
-
-    def batches(size, first_one):
-        # The batches of the combinations of size columns, first_one asking
-        # for a first coefficient of 1 when size >= 2.
-        def walk(s, start, depth):
-            if depth == size - 1:
-                tail = flat[start * step:]
-                yield sums(s, tail) if depth else tail
-                return
-            for i in range(start, n - size + 1 + depth):
-                terms = mults[i][:1] if first_one and not depth else mults[i]
-                for t in sums(s, terms) if depth else terms:
-                    yield from walk(t, i + 1, depth + 1)
-        return walk(0, 0, 0)
 
     if w % 2:
         stored = set()
-        for words in batches(w - h, False):
-            stored.update(words)
-        return any(not stored.isdisjoint(words)
-                   for words in batches(h, True))
+        _walk(flat, step, n, w - h, False, packing,
+              lambda s, tail: stored.update(words(s, tail)))
+        return _walk(flat, step, n, h, True, packing,
+                     lambda s, tail: not stored.isdisjoint(words(s, tail)))
     seen = set()
-    for words in batches(h, False):
-        words = list(words)
-        if not seen.isdisjoint(words):
-            return True
-        seen.update(words)
-    return False
+
+    def repeats(s, tail):
+        batch = set(words(s, tail))
+        found = not seen.isdisjoint(batch)
+        seen.update(batch)
+        return found
+
+    return _walk(flat, step, n, h, False, packing, repeats)
 
 
 def _dependence_witness(cols, idxs, packing):

@@ -10,24 +10,31 @@ Two fully independent routes to the dimension of NT_u(s)|F_t are provided:
   landing inside F_t^n.  Every LinearCode holds its generators in that form,
   the identity on its pivot columns, so only F_t-combinations of its rows
   can land there, and one k x mn elimination over F_t suffices, substituted
-  back only on the rows that give the subcode.  Each component of a row
-  is one linalg.entrywise map, and the trivial extension t = q^r takes
-  the same path.
+  back only on the rows that give the subcode.  The trivial extension
+  t = q^r takes the same path.
 
 The two must always agree; the test suite asserts this on every instance.
+
+There is one decomposition over F_t: the m component maps of a row
+(_components), each one linalg.entrywise map through a table of the
+embedding.  The oracle expands the generators with them, trace_code is
+the span of the components of the generators, and the check path below
+is the null space of the components of the checks.
 
 subfield_subcode_of_ent, which gives the generators of NT_u(s)|F_t, takes
 the oracle only for codes of low rate.  When m(n - k) <= 2k it reads the
 subcode from the n - k parity checks of NT_u(s) instead: the columns of
 the inverse of the footprint evaluation matrix at the monomials of weight
 above s, which have a closed form (codes.footprint_inverse_rows).  The
-null space over F_t of their m(n - k) F_t-components is the subcode, and
-linalg.null_space reads it off one elimination of them, already in
-reduced echelon form (subfield_subcode_from_checks): no elimination over
-F_{q^r}, no build_code.  The rule is a constant set from measured
-crossovers.  Both paths give the one canonical basis, and the check path
-reads no dual weight, trace or normal form, so it stays independent of
-the Groebner route.
+null space over F_t of their m(n - k) F_t-components is the subcode: the
+components span Tr(C^perp), as in trace_code, so this is Delsarte's
+(Tr(C^perp))^perp on the closed-form checks.  linalg.null_space reads it
+off one elimination of them, already in reduced echelon form
+(subfield_subcode_from_checks): no elimination over F_{q^r}, no
+build_code.  The rule is a constant set from measured crossovers.  Both
+paths give the one canonical basis, and the check path reads no dual
+weight, normal form or trace pass, so it stays independent of the
+Groebner route.
 
 The Groebner route answers every s of a curve from one pass per (curve, t)
 in weight order (trace_span): each new normal form is a row of the curve's
@@ -233,6 +240,12 @@ def subfield_subcode_dim(curve: CurveSpec, s: int, t: int) -> int:
     return curve.n - trace_span_dim(curve, dual_weight(curve, s), t)
 
 
+def _components(emb: SubfieldEmbedding) -> list:
+    """The m maps that take a row over F_{q^r} to the row over F_t of its
+    entries' coordinates c on the decomposition basis, c = 0 .. m - 1."""
+    return [entrywise(emb.big, comp.__getitem__) for comp in emb.components]
+
+
 def subfield_subcode_oracle(code: LinearCode,
                             emb: SubfieldEmbedding) -> LinearCode:
     """C intersect F_t^n, computed directly by coordinate expansion.
@@ -256,8 +269,7 @@ def subfield_subcode_oracle(code: LinearCode,
         raise FieldError("embedding does not target the code's field")
     small, m, n = emb.small, emb.m, code.n
     width = n * (m - 1)
-    first, *rest = (entrywise(code.field, comp.__getitem__)
-                    for comp in emb.components)
+    first, *rest = _components(emb)
     blank = bytearray if row_type(small) is bytes else \
         (lambda size: [0] * size)
     expanded = []
@@ -271,20 +283,20 @@ def subfield_subcode_oracle(code: LinearCode,
 
 
 def trace_code(code: LinearCode, emb: SubfieldEmbedding) -> LinearCode:
-    """Coordinatewise trace image of C, as a code over the small field."""
+    """Coordinatewise trace image of C, as a code over the small field:
+    the span over F_t of the m components of the generators (_components).
+
+    As b runs over F_{q^r}, the maps x -> Tr(bx) are all the F_t-linear
+    functionals on F_{q^r}, as the trace form is nondegenerate, and the m
+    component maps are a basis of them.  So a component of a codeword c
+    is Tr(bc) for some b, a word of Tr(C).  And a word Tr(bc) of Tr(C),
+    with c = sum_i a_i G_i, is sum_i f_i(G_i) for the functionals
+    f_i(x) = Tr(b a_i x), each an F_t-combination of the components.
+    """
     if emb.big != code.field:
         raise FieldError("embedding does not target the code's field")
-    fld = code.field
-    small = emb.small
-    t = small.order
-    # The generators scaled by each element of the basis of the big field
-    # over the small one span C over F_t.
-    rows = []
-    for b in emb.basis:
-        trace = entrywise(fld, lambda v: emb.project(
-            fld.trace_in_field(fld.mul(b, v), t)))
-        rows.extend(map(trace, code.generators))
-    return row_space_basis(rows, small, code.n)
+    return row_space_basis([part(g) for part in _components(emb)
+                            for g in code.generators], emb.small, code.n)
 
 
 @dataclass(frozen=True)
@@ -313,22 +325,23 @@ def is_frobenius_invariant(curve: CurveSpec, s: int,
 
 def subfield_subcode_from_checks(curve: CurveSpec, s: int,
                                  emb: SubfieldEmbedding) -> LinearCode:
-    """NT_u(s)|F_t as the null space over F_t of the F_t-components of the
-    n - k parity checks of NT_u(s) (codes.footprint_inverse_rows).
+    """NT_u(s)|F_t by Delsarte, (Tr(C^perp))^perp, on the n - k parity
+    checks of NT_u(s) (codes.footprint_inverse_rows): the null space over
+    F_t of their m(n - k) F_t-components, the rows whose span trace_code
+    takes for Tr(C^perp).
 
     A word w of F_t^n satisfies a check h over F_{q^r} exactly when it
     satisfies each of its m components over F_t: sum_P h_P w_P has
     component c equal to sum_P h_{P,c} w_P, as w_P lies in F_t.  The
-    m(n - k) component rows go to linalg.null_space, which eliminates them
-    once and reads the canonical basis off that echelon form.
+    component rows go to linalg.null_space, which eliminates them once
+    and reads the canonical basis off that echelon form.
     """
     if emb.big != curve.field:
         raise FieldError("embedding does not target the curve's field")
     footprint_is_basis(curve)
     checks = footprint_inverse_rows(
         curve, footprint(curve)[len(monomials_up_to(curve, s)):])
-    components = [entrywise(curve.field, comp.__getitem__)
-                  for comp in emb.components]
+    components = _components(emb)
     return null_space([part(h) for h in checks for part in components],
                       emb.small, curve.n)
 

@@ -1,6 +1,7 @@
 import random
 import tracemalloc
 from collections import Counter
+from functools import partial, reduce
 from itertools import combinations, product
 from math import comb
 
@@ -13,7 +14,7 @@ from normtrace.distance import (DEFAULT_BUDGET, BudgetExceeded,
                                 _dependence_witness, _first_dependent_set,
                                 _has_dependent_set, _information_sets,
                                 _meets_in_middle, _order_bound_counts,
-                                _parity_columns,
+                                _parity_columns, _walk,
                                 exact_min_distance_enum,
                                 exact_min_distance_parity, geil_bound,
                                 is_even_weight, level_cost)
@@ -768,6 +769,88 @@ def mindist_codes():
                          ((2, 2, 2, 5), 60, 4), ((2, 2, 2, 5), 63, 4),
                          ((2, 1, 4, 3), 33, 2)]:
         yield subfield_subcode_of_ent(make_curve(*params), s, t)
+
+
+def walked_sums(flat, step, count, size, first_one, packing):
+    """The reduced words s + t of every visit _walk makes, as entry
+    tuples, and the number of visits."""
+    words, visits = Counter(), [0]
+
+    def visit(s, tail):
+        visits[0] += 1
+        words.update(tuple(packing.unpack(packing.reduce(packing.add(s, t))))
+                      for t in tail)
+        return False
+
+    assert _walk(flat, step, count, size, first_one, packing, visit) is False
+    return words, visits[0]
+
+
+def sums_by_definition(fld, rows, size, first_one):
+    """Every sum of size of the rows with nonzero coefficients, the first
+    1 when first_one, summed entry by entry."""
+    scaled = [[scale_row(fld, c, row) for c in range(1, fld.order)]
+              for row in rows]
+    words = Counter()
+    for idxs in combinations(range(len(rows)), size):
+        first, *rest = (scaled[i] for i in idxs)
+        for terms in product(first[:1] if first_one else first, *rest):
+            words[tuple(reduce(partial(map, fld.add), terms))] += 1
+    return words
+
+
+def test_walk_visits_every_sum_once_on_every_packing():
+    # F_2 (bits), F_4 and F_16 (8-bit lanes), F_512 (16-bit lanes), F_3 and
+    # F_9 (digit lanes), F_127 (a prefix reduced after every addition) and
+    # F_729 (digit lanes above order 256): the words visited are the sums
+    # of size rows with nonzero coefficients, each once.
+    rng = random.Random(131)
+    for p, e in [(2, 1), (2, 2), (2, 4), (2, 9), (3, 1), (3, 2), (127, 1),
+                 (3, 6)]:
+        fld = make_field(p, e)
+        step = fld.order - 1
+        walked = 0
+        for _ in range(3):
+            n, count = rng.randrange(3, 8), rng.randrange(2, 6)
+            rows = [[rng.randrange(fld.order) for _ in range(n)]
+                    for _ in range(count)]
+            packing = row_packing(fld, n)
+            flat = [t for times in _column_multiples(
+                map(packing.pack, rows), packing) for t in times]
+            for size in range(1, count + 1):
+                for first_one in (False, True):
+                    total = comb(count, size) * step ** (size - first_one)
+                    if total > 40000:
+                        continue
+                    words, visits = walked_sums(flat, step, count, size,
+                                                first_one, packing)
+                    assert words == sums_by_definition(
+                        fld, rows, size, first_one), (fld, size, first_one)
+                    assert sum(words.values()) == total
+                    # One visit per prefix: size - 1 of the rows before
+                    # the last, with their coefficients.
+                    assert visits == (1 if size == 1 else comb(
+                        count - 1, size - 1) * step ** (size - 1 - first_one))
+                    walked += size > 2
+        assert walked or fld.order > 256, fld
+
+
+def test_walk_stops_at_the_first_true_visit():
+    fld = make_field(3, 1)
+    packing = row_packing(fld, 4)
+    rows = [[1, 0, 2, 1], [0, 1, 1, 2], [2, 2, 0, 1], [1, 1, 1, 0]]
+    flat = [t for times in _column_multiples(map(packing.pack, rows),
+                                             packing) for t in times]
+    _, visits = walked_sums(flat, 2, 4, 3, False, packing)
+    for stop in range(1, visits + 1):
+        seen = []
+
+        def visit(s, tail):
+            seen.append(s)
+            return len(seen) == stop
+
+        assert _walk(flat, 2, 4, 3, False, packing, visit) is True
+        assert len(seen) == stop
 
 
 def test_collision_test_matches_search_level_by_level():

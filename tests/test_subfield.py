@@ -4,7 +4,7 @@ from bisect import bisect_right
 import pytest
 
 from normtrace import subfield
-from normtrace.codes import build_code
+from normtrace.codes import build_code, dual_weight
 from normtrace.curves import make_curve
 from normtrace.fields import FieldError, embedding, make_field, \
     subfield_of_order
@@ -175,6 +175,35 @@ def test_trace_code_basics():
     assert tc.k == 7
 
 
+def trace_code_by_entries(code, emb):
+    """Tr(C) by its definition: the traces of the generators scaled by
+    each element of the basis of the big field over the small one, with
+    one product, trace and projection per entry."""
+    fld, t = code.field, emb.small.order
+    rows = [[emb.project(fld.trace_in_field(fld.mul(b, v), t)) for v in g]
+            for b in emb.basis for g in code.generators]
+    return row_space_basis(rows, emb.small, code.n)
+
+
+def test_trace_code_matches_the_traces_of_scaled_generators():
+    # The span of the components of the generators is the span of their
+    # scaled traces, over 15 field pairs: odd characteristic, orders
+    # above 256, and m from 1 to 10.
+    rng = random.Random(79)
+    pairs = [((2, 1), (2, 2)), ((2, 1), (2, 3)), ((2, 2), (2, 4)),
+             ((2, 1), (2, 4)), ((2, 3), (2, 6)), ((2, 3), (2, 9)),
+             ((2, 1), (2, 10)), ((3, 1), (3, 2)), ((3, 1), (3, 3)),
+             ((3, 3), (3, 6)), ((3, 2), (3, 6)), ((5, 1), (5, 2)),
+             ((7, 1), (7, 2)), ((17, 1), (17, 2)), ((2, 4), (2, 4))]
+    for (p, e), (p2, e2) in pairs:
+        small, big = make_field(p, e), make_field(p2, e2)
+        emb = embedding(small, big)
+        for _ in range(6):
+            n = rng.randrange(1, 12)
+            code = random_code(rng, big, n, rng.randrange(n + 1))
+            assert trace_code(code, emb) == trace_code_by_entries(code, emb)
+
+
 def test_delsarte_theorem():
     rng = random.Random(71)
     for small in (F2, F4):
@@ -183,6 +212,22 @@ def test_delsarte_theorem():
             c = random_code(rng, F16, 10, 3)
             assert kernel(subfield_subcode_oracle(c, emb)) == \
                 trace_code(kernel(c), emb)
+
+
+@pytest.mark.parametrize("params, s, t", [
+    ((2, 1, 6, 3), 64, 2), ((3, 1, 3, 13), 121, 3), ((2, 1, 5, 31), 400, 2),
+    ((2, 2, 3, 21), 512, 2), ((2, 2, 3, 21), 512, 4),
+    ((2, 1, 10, 1), 511, 2)])
+def test_ladder_subcodes_match_the_delsarte_generator_route(params, s, t):
+    # The generators of NT_u(s)|F_t equal those of (Tr(NT_u(s')))^perp,
+    # s' the dual weight, by Delsarte: on these curves u = 1 mod p, so the
+    # dual of NT_u(s) is NT_u(s') itself, with no twist.
+    curve = make_curve(*params)
+    assert curve.u % curve.p == 1
+    emb = embedding(subfield_of_order(curve.field, t), curve.field)
+    dual = build_code(curve, dual_weight(curve, s))
+    assert subfield_subcode_of_ent(curve, s, t) == kernel(trace_code(dual,
+                                                                     emb))
 
 
 def test_trace_span_matches_trace_code_dim():
